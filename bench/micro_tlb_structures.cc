@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's lookup-path
- * structures (simulation throughput, not modeled hardware latency).
+ * structures and of the workload generator (simulation throughput, not
+ * modeled hardware latency).
  */
 
 #include <benchmark/benchmark.h>
@@ -10,7 +11,10 @@
 #include "tlb/mmu_cache.hh"
 #include "tlb/range_tlb.hh"
 #include "tlb/set_assoc_tlb.hh"
+#include "vm/memory_manager.hh"
 #include "vm/page_table.hh"
+#include "workloads/suite.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -77,5 +81,28 @@ BM_MmuCacheWalk(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MmuCacheWalk);
+
+/** Time per WorkloadGenerator::next() of a suite workload: the
+ *  generator layer alone, after a 2M-instruction fast-forward. */
+void
+BM_WorkloadGeneratorNext(benchmark::State &state, const char *name)
+{
+    const auto spec = workloads::findWorkload(name);
+    if (!spec) {
+        state.SkipWithError("unknown workload");
+        return;
+    }
+    vm::MemoryManager mm(vm::OsPolicy{}, spec->footprintBytes() +
+                                             spec->footprintBytes() / 4 +
+                                             256_MiB);
+    workloads::WorkloadGenerator gen(*spec, mm, 1);
+    gen.skip(2'000'000);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.next());
+}
+BENCHMARK_CAPTURE(BM_WorkloadGeneratorNext, mcf, "mcf");
+BENCHMARK_CAPTURE(BM_WorkloadGeneratorNext, astar, "astar");
+BENCHMARK_CAPTURE(BM_WorkloadGeneratorNext, canneal, "canneal");
+BENCHMARK_CAPTURE(BM_WorkloadGeneratorNext, omnetpp, "omnetpp");
 
 } // namespace

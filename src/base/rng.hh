@@ -12,6 +12,7 @@
 #ifndef EAT_BASE_RNG_HH
 #define EAT_BASE_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "base/logging.hh"
@@ -80,11 +81,19 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** @return the 53 random bits behind real(), which is
+     *  bits53() * 2^-53. */
+    std::uint64_t
+    bits53()
+    {
+        return next() >> 11;
+    }
+
     /** @return a double uniform in [0, 1). */
     double
     real()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(bits53()) * 0x1.0p-53;
     }
 
     /** @return true with probability @p p (clamped to [0, 1]). */
@@ -113,6 +122,32 @@ class Rng
     }
 
     std::uint64_t state_[4];
+};
+
+/**
+ * Integer thresholds that stand in for comparisons against Rng::real().
+ * real() is exactly k * 2^-53 for k = bits53(), and c * 2^53 is exact
+ * for c in [0, 1], so for such c:
+ *   real() <= c  exactly when  k <= atMost(c) = floor(c * 2^53);
+ *   real() <  c  exactly when  k <  below(c)  = ceil(c * 2^53).
+ * Callers that compare one constant per draw precompute the threshold
+ * and draw bits53() in place of real(), consuming the same stream.
+ */
+struct UnitThreshold
+{
+    static std::uint64_t
+    atMost(double c)
+    {
+        eat_assert(c >= 0.0 && c <= 1.0, "UnitThreshold outside [0, 1]");
+        return static_cast<std::uint64_t>(std::floor(c * 0x1.0p53));
+    }
+
+    static std::uint64_t
+    below(double c)
+    {
+        eat_assert(c >= 0.0 && c <= 1.0, "UnitThreshold outside [0, 1]");
+        return static_cast<std::uint64_t>(std::ceil(c * 0x1.0p53));
+    }
 };
 
 } // namespace eat

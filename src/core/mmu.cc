@@ -182,12 +182,13 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
     // Front-cache memo arrays, one slot per set of the owning TLB (a
     // power of two, so the index is a mask). A range TLB paired with a
     // mixed or combined L1 has no replay path (no organization pairs
-    // them); keep the front off rather than model the combination.
+    // them); keep the front off for good rather than model the
+    // combination, so setFrontCacheEnabled(true) cannot turn it on.
     front4K_.resize(l1Page4K_->sets());
     if (l1Page2M_)
         front2M_.resize(l1Page2M_->sets());
     if ((cfg_.mixedTlbs || cfg_.combinedFullyAssocL1) && l1Range_)
-        frontEnabled_ = false;
+        frontAllowed_ = frontEnabled_ = false;
 
     // Provenance identities (must match the dynamicEnergyTotal() order
     // documented on obs::ProvStruct).

@@ -243,12 +243,13 @@ class Mmu
      * the MMU's back (the driver harnesses enforce this): a corrupted
      * tag aliasing a lower way could change the full probe's first
      * match, which a replay cannot see. Forced off in
-     * -DEAT_FRONT_CACHE=OFF builds.
+     * -DEAT_FRONT_CACHE=OFF builds and in configurations the
+     * constructor found no replay path for (frontAllowed_).
      */
     void
     setFrontCacheEnabled(bool on)
     {
-        frontEnabled_ = kFrontCacheCompiledIn && on;
+        frontEnabled_ = frontAllowed_ && on;
     }
 
     bool frontCacheEnabled() const { return frontEnabled_; }
@@ -505,6 +506,7 @@ class Mmu
     // TLB's set count (power of two) so repeated hits across sets
     // coexist; slots die en masse via the generation counter and are
     // re-validated against live TLB state before every replay.
+    bool frontAllowed_ = kFrontCacheCompiledIn; ///< cleared by the ctor's veto
     bool frontEnabled_ = kFrontCacheCompiledIn;
     std::uint64_t frontGen_ = 1;
     std::vector<FrontSlot> front4K_;

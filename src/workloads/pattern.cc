@@ -17,8 +17,12 @@ wordAlign(Addr a)
     return a & ~Addr{7};
 }
 
-std::vector<double>
-buildCdf(const std::vector<double> &weights)
+/**
+ * The integer pick thresholds of @p weights: UnitThreshold::atMost of
+ * each CDF entry but the last (which is 1 and catches every draw).
+ */
+std::vector<std::uint64_t>
+buildCuts(const std::vector<double> &weights)
 {
     eat_assert(!weights.empty(), "empty weight vector");
     double total = 0.0;
@@ -27,30 +31,27 @@ buildCdf(const std::vector<double> &weights)
         total += w;
     }
     eat_assert(total > 0.0, "all weights zero");
-    std::vector<double> cdf;
-    cdf.reserve(weights.size());
+    std::vector<std::uint64_t> cuts;
+    cuts.reserve(weights.size() - 1);
     double acc = 0.0;
-    for (double w : weights) {
-        acc += w / total;
-        cdf.push_back(acc);
+    for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+        acc += weights[i] / total;
+        cuts.push_back(UnitThreshold::atMost(std::min(acc, 1.0)));
     }
-    cdf.back() = 1.0;
-    return cdf;
+    return cuts;
 }
 
 std::size_t
-pickFromCdf(const std::vector<double> &cdf, Rng &rng)
+pick(const std::vector<std::uint64_t> &cuts, Rng &rng)
 {
-    // First bucket with cdf >= u — a forward scan, since mixture CDFs
-    // hold a handful of entries and the early buckets carry most of
-    // the weight. Same pick as a lower_bound over the sorted CDF.
-    const double u = rng.real();
-    const std::size_t n = cdf.size();
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (u <= cdf[i])
-            return i;
-    }
-    return n - 1;
+    // The first bucket whose CDF entry is >= real(): the CDF is sorted,
+    // so that is the number of entries below the draw, counted without
+    // branches over the integer thresholds.
+    const std::uint64_t k = rng.bits53();
+    std::size_t i = 0;
+    for (const std::uint64_t cut : cuts)
+        i += k > cut;
+    return i;
 }
 
 } // namespace
@@ -89,8 +90,16 @@ Span::addrAt(std::uint64_t offset) const
         offset - starts_[last] < extents_[last].bytes) {
         return extents_[last].base + (offset - starts_[last]);
     }
-    const auto it = std::upper_bound(starts_.begin(), starts_.end(), offset);
-    const auto idx = static_cast<std::size_t>(it - starts_.begin()) - 1;
+    // Branchless search for the last extent starting at or below the
+    // offset (starts_[0] is 0, so there always is one).
+    const std::uint64_t *first = starts_.data();
+    std::size_t n = starts_.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        first = first[half] <= offset ? first + half : first;
+        n -= half;
+    }
+    const auto idx = static_cast<std::size_t>(first - starts_.data());
     lastExtent_ = idx;
     return extents_[idx].base + (offset - starts_[idx]);
 }
@@ -111,49 +120,44 @@ UniformRandomPattern::next(Rng &rng, InstrCount)
 // ----------------------------------------------------------- WorkingSet
 
 WorkingSetPattern::WorkingSetPattern(Span span, std::vector<WsLevel> levels)
-    : span_(std::move(span)), levels_(std::move(levels))
+    : span_(std::move(span))
 {
     eat_assert(!span_.empty(), "working-set pattern over empty span");
-    eat_assert(!levels_.empty(), "working-set pattern needs levels");
+    eat_assert(!levels.empty(), "working-set pattern needs levels");
     std::vector<double> weights;
-    for (auto &l : levels_) {
-        l.bytes = std::min<std::uint64_t>(l.bytes, span_.bytes());
-        eat_assert(l.bytes > 0, "zero-byte working-set level");
+    for (const auto &l : levels) {
+        bytes_.push_back(std::min<std::uint64_t>(l.bytes, span_.bytes()));
+        eat_assert(bytes_.back() > 0, "zero-byte working-set level");
         weights.push_back(l.weight);
     }
-    const auto cdf = buildCdf(weights);
-    for (std::size_t i = 0; i < levels_.size(); ++i)
-        levels_[i].weight = cdf[i];
+    cuts_ = buildCuts(weights);
 }
 
 Addr
 WorkingSetPattern::next(Rng &rng, InstrCount)
 {
-    const double u = rng.real();
-    std::size_t pick = levels_.size() - 1;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if (u <= levels_[i].weight) {
-            pick = i;
-            break;
-        }
-    }
-    return wordAlign(span_.addrAt(rng.below(levels_[pick].bytes)));
+    return wordAlign(span_.addrAt(rng.below(bytes_[pick(cuts_, rng)])));
 }
 
 // ----------------------------------------------------------- Sequential
 
 SequentialPattern::SequentialPattern(Span span, std::uint64_t strideBytes)
-    : span_(std::move(span)), stride_(strideBytes)
+    : span_(std::move(span))
 {
     eat_assert(!span_.empty(), "sequential pattern over empty span");
-    eat_assert(stride_ > 0, "zero stride");
+    eat_assert(strideBytes > 0, "zero stride");
+    strideMod_ = strideBytes % span_.bytes();
 }
 
 Addr
 SequentialPattern::next(Rng &, InstrCount)
 {
     const Addr a = span_.addrAt(cursor_);
-    cursor_ = (cursor_ + stride_) % span_.bytes();
+    // cursor_ and strideMod_ are both below the span size, so one
+    // conditional subtract reduces their sum.
+    cursor_ += strideMod_;
+    if (cursor_ >= span_.bytes())
+        cursor_ -= span_.bytes();
     return wordAlign(a);
 }
 
@@ -169,11 +173,16 @@ StridedPattern::StridedPattern(Span span, std::uint64_t strideBytes)
 Addr
 StridedPattern::next(Rng &, InstrCount)
 {
-    const Addr a = span_.addrAt((cursor_ + phase_) % span_.bytes());
+    // cursor_ and phaseMod_ are both below the span size.
+    std::uint64_t offset = cursor_ + phaseMod_;
+    if (offset >= span_.bytes())
+        offset -= span_.bytes();
+    const Addr a = span_.addrAt(offset);
     cursor_ += stride_;
     if (cursor_ >= span_.bytes()) {
         cursor_ = 0;
         phase_ = (phase_ + 64) % stride_; // next sweep, next element
+        phaseMod_ = phase_ % span_.bytes();
     }
     return wordAlign(a);
 }
@@ -182,9 +191,7 @@ StridedPattern::next(Rng &, InstrCount)
 
 LocalWalkPattern::LocalWalkPattern(Span span, std::uint64_t maxStepBytes,
                                    double jumpProbability)
-    : span_(std::move(span)),
-      maxStep_(maxStepBytes),
-      jumpProb_(jumpProbability)
+    : span_(std::move(span)), maxStep_(maxStepBytes), jump_(jumpProbability)
 {
     eat_assert(!span_.empty(), "local-walk pattern over empty span");
     eat_assert(maxStep_ > 0, "zero step bound");
@@ -195,13 +202,19 @@ LocalWalkPattern::LocalWalkPattern(Span span, std::uint64_t maxStepBytes,
 Addr
 LocalWalkPattern::next(Rng &rng, InstrCount)
 {
-    if (rng.chance(jumpProb_)) {
+    if (jump_(rng)) {
         pos_ = rng.below(span_.bytes());
     } else {
         const std::uint64_t step = rng.below(2 * maxStep_ + 1);
         const std::uint64_t size = span_.bytes();
-        // Signed step in [-maxStep_, +maxStep_], wrapped over the span.
-        pos_ = (pos_ + size + step - maxStep_) % size;
+        // Signed step in [-maxStep_, +maxStep_], wrapped over the span:
+        // pos_ < size and maxStep_ <= size, so the sum is below
+        // 3 * size and two conditional subtracts reduce it.
+        pos_ = pos_ + size + step - maxStep_;
+        if (pos_ >= size)
+            pos_ -= size;
+        if (pos_ >= size)
+            pos_ -= size;
     }
     return wordAlign(span_.addrAt(pos_));
 }
@@ -212,13 +225,17 @@ RegionHotsetPattern::RegionHotsetPattern(std::vector<vm::Region> regions,
                                          std::size_t hotRegions,
                                          double hotProb,
                                          std::uint64_t windowBytes)
-    : regions_(std::move(regions)),
-      hotRegions_(std::min(hotRegions, regions_.size())),
-      hotProb_(hotProb),
-      windowBytes_(windowBytes)
+    : hotRegions_(std::min(hotRegions, regions.size())), hot_(hotProb)
 {
-    eat_assert(!regions_.empty(), "region hotset over no regions");
+    eat_assert(!regions.empty(), "region hotset over no regions");
     eat_assert(hotRegions_ >= 1, "need at least one hot region");
+    windows_.reserve(regions.size());
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+        const auto &r = regions[i];
+        const std::uint64_t bytes =
+            windowBytes == 0 ? r.bytes : std::min(windowBytes, r.bytes);
+        windows_.push_back({r.vbase + windowOffset(i, r.bytes, bytes), bytes});
+    }
 }
 
 std::uint64_t
@@ -237,24 +254,19 @@ RegionHotsetPattern::windowOffset(std::size_t i, std::uint64_t regionBytes,
 Addr
 RegionHotsetPattern::next(Rng &rng, InstrCount)
 {
-    const std::size_t count =
-        rng.chance(hotProb_) ? hotRegions_ : regions_.size();
-    const std::size_t idx = rng.below(count);
-    const auto &r = regions_[idx];
-    if (windowBytes_ == 0 || windowBytes_ >= r.bytes)
-        return wordAlign(r.vbase + rng.below(r.bytes));
-    const std::uint64_t base = windowOffset(idx, r.bytes, windowBytes_);
-    return wordAlign(r.vbase + base + rng.below(windowBytes_));
+    const std::size_t count = hot_(rng) ? hotRegions_ : windows_.size();
+    const auto &w = windows_[rng.below(count)];
+    return wordAlign(w.base + rng.below(w.bytes));
 }
 
 // -------------------------------------------------------------- Mixture
 
 MixturePattern::MixturePattern(std::vector<PatternPtr> children,
                                std::vector<double> weights)
-    : children_(std::move(children)), cdf_(buildCdf(weights))
+    : children_(std::move(children)), cuts_(buildCuts(weights))
 {
     eat_assert(!children_.empty(), "mixture with no children");
-    eat_assert(children_.size() == cdf_.size(),
+    eat_assert(children_.size() == weights.size(),
                "mixture weights/children size mismatch");
     for (const auto &c : children_)
         eat_assert(c != nullptr, "null mixture child");
@@ -263,7 +275,7 @@ MixturePattern::MixturePattern(std::vector<PatternPtr> children,
 Addr
 MixturePattern::next(Rng &rng, InstrCount now)
 {
-    return children_[pickFromCdf(cdf_, rng)]->next(rng, now);
+    return children_[pick(cuts_, rng)]->next(rng, now);
 }
 
 // --------------------------------------------------------------- Phased
@@ -281,9 +293,15 @@ PhasedPattern::PhasedPattern(std::vector<PatternPtr> children,
 Addr
 PhasedPattern::next(Rng &rng, InstrCount now)
 {
-    const std::size_t phase =
-        static_cast<std::size_t>((now / phaseLen_) % children_.size());
-    return children_[phase]->next(rng, now);
+    // The clock usually stays inside the cached phase; recompute only
+    // when it leaves it (in either direction: the unsigned difference
+    // wraps when now is below the phase start).
+    if (now - phaseStart_ >= phaseLen_) {
+        const InstrCount index = now / phaseLen_;
+        phase_ = static_cast<std::size_t>(index % children_.size());
+        phaseStart_ = index * phaseLen_;
+    }
+    return children_[phase_]->next(rng, now);
 }
 
 } // namespace eat::workloads

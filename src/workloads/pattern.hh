@@ -69,6 +69,37 @@ class Span
     mutable std::size_t lastExtent_ = 0;
 };
 
+/**
+ * Rng::chance(p) with its compare precomputed as an integer threshold
+ * (UnitThreshold::below): the same draws and the same outcomes. As in
+ * Rng::chance, p <= 0 and p >= 1 draw nothing.
+ */
+class Chance
+{
+  public:
+    explicit Chance(double p)
+        : never_(p <= 0.0),
+          always_(p >= 1.0),
+          cut_(never_ || always_ ? 0 : UnitThreshold::below(p))
+    {
+    }
+
+    bool
+    operator()(Rng &rng) const
+    {
+        if (never_)
+            return false;
+        if (always_)
+            return true;
+        return rng.bits53() < cut_;
+    }
+
+  private:
+    bool never_;
+    bool always_;
+    std::uint64_t cut_;
+};
+
 /** Base class of every access-pattern primitive. */
 class AccessPattern
 {
@@ -117,7 +148,9 @@ class WorkingSetPattern final : public AccessPattern
 
   private:
     Span span_;
-    std::vector<WsLevel> levels_; ///< weights normalized to a CDF
+    std::vector<std::uint64_t> bytes_; ///< per level, clamped to the span
+    /** UnitThreshold::atMost of the levels' CDF, all but the last. */
+    std::vector<std::uint64_t> cuts_;
 };
 
 /** Streaming access with a fixed stride, wrapping over the span. */
@@ -129,7 +162,7 @@ class SequentialPattern final : public AccessPattern
 
   private:
     Span span_;
-    std::uint64_t stride_;
+    std::uint64_t strideMod_ = 0; ///< stride % span bytes
     std::uint64_t cursor_ = 0;
 };
 
@@ -149,6 +182,7 @@ class StridedPattern final : public AccessPattern
     std::uint64_t stride_;
     std::uint64_t cursor_ = 0;
     std::uint64_t phase_ = 0;
+    std::uint64_t phaseMod_ = 0; ///< phase_ % span bytes
 };
 
 /** Bounded random walk with occasional long-distance jumps. */
@@ -162,7 +196,7 @@ class LocalWalkPattern final : public AccessPattern
   private:
     Span span_;
     std::uint64_t maxStep_;
-    double jumpProb_;
+    Chance jump_;
     std::uint64_t pos_ = 0;
 };
 
@@ -193,10 +227,11 @@ class RegionHotsetPattern final : public AccessPattern
                                       std::uint64_t windowBytes);
 
   private:
-    std::vector<vm::Region> regions_;
+    /** Per region, the extent an access draws from: the region itself,
+     *  or its staggered window. */
+    std::vector<Extent> windows_;
     std::size_t hotRegions_;
-    double hotProb_;
-    std::uint64_t windowBytes_;
+    Chance hot_;
 };
 
 /** Weighted per-access choice among child patterns. */
@@ -209,7 +244,8 @@ class MixturePattern final : public AccessPattern
 
   private:
     std::vector<PatternPtr> children_;
-    std::vector<double> cdf_;
+    /** UnitThreshold::atMost of the weights' CDF, all but the last. */
+    std::vector<std::uint64_t> cuts_;
 };
 
 /** Rotates among child patterns every @c phaseInstructions. */
@@ -223,6 +259,10 @@ class PhasedPattern final : public AccessPattern
   private:
     std::vector<PatternPtr> children_;
     InstrCount phaseLen_;
+    // The phase the last call fell in and the instruction count it
+    // starts at; the phase covers [phaseStart_, phaseStart_ + phaseLen_).
+    std::size_t phase_ = 0;
+    InstrCount phaseStart_ = 0;
 };
 
 } // namespace eat::workloads

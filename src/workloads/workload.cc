@@ -17,13 +17,13 @@ WorkloadSpec::footprintBytes() const
 WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
                                      vm::MemoryManager &mm,
                                      std::uint64_t seed)
-    : rng_(seed),
-      gapNumerator_(1000),
-      gapDenominator_(spec.memOpsPerKiloInstr)
+    : rng_(seed), gapDenominator_(spec.memOpsPerKiloInstr)
 {
     eat_assert(spec.memOpsPerKiloInstr >= 1 &&
                    spec.memOpsPerKiloInstr <= 1000,
                spec.name, ": memOpsPerKiloInstr must be in [1, 1000]");
+    gapQuotient_ = 1000 / gapDenominator_;
+    gapRemainder_ = 1000 % gapDenominator_;
     eat_assert(!spec.allocs.empty(), spec.name, ": no allocations");
     eat_assert(spec.buildPattern != nullptr, spec.name, ": no pattern");
 

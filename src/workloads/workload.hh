@@ -94,14 +94,20 @@ class WorkloadGenerator
 
   private:
     /** gap = ceil-or-floor of 1000/opsPerKilo with an error accumulator,
-     *  so the average is exact and the stream is deterministic. */
+     *  so the average is exact and the stream is deterministic. With
+     *  1000 = q * d + r and carry < d, (carry + 1000) / d is q plus one
+     *  exactly when carry + r reaches d, and carry + r < 2d, so one
+     *  conditional subtract keeps carry reduced. q >= 1 since d <= 1000. */
     InstrCount
     nextGap()
     {
-        gapCarry_ += gapNumerator_;
-        const std::uint64_t gap = gapCarry_ / gapDenominator_;
-        gapCarry_ %= gapDenominator_;
-        return gap > 0 ? gap : 1;
+        gapCarry_ += gapRemainder_;
+        InstrCount gap = gapQuotient_;
+        if (gapCarry_ >= gapDenominator_) {
+            gapCarry_ -= gapDenominator_;
+            ++gap;
+        }
+        return gap;
     }
 
     PatternPtr pattern_;
@@ -111,9 +117,10 @@ class WorkloadGenerator
 
     // Fixed-point gap accumulator: emits gaps whose long-run average is
     // exactly 1000 / memOpsPerKiloInstr instructions.
-    std::uint64_t gapNumerator_;   ///< 1000
-    std::uint64_t gapDenominator_; ///< memOpsPerKiloInstr
-    std::uint64_t gapCarry_ = 0;
+    std::uint64_t gapDenominator_;   ///< d = memOpsPerKiloInstr
+    std::uint64_t gapQuotient_ = 0;  ///< 1000 / d
+    std::uint64_t gapRemainder_ = 0; ///< 1000 % d
+    std::uint64_t gapCarry_ = 0;     ///< always < d
 };
 
 } // namespace eat::workloads

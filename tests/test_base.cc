@@ -166,6 +166,26 @@ TEST(Rng, ChanceApproximatesProbability)
     EXPECT_NEAR(static_cast<double>(hits) / trials, 0.25, 0.02);
 }
 
+TEST(UnitThreshold, AgreesWithRealComparisons)
+{
+    // real() is k * 2^-53 for k = bits53() in [0, 2^53); probe each
+    // threshold and its neighbours (those that are possible draws).
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    for (const double c : {0.0, 1.0 / 3.0, 0.775, 0.9, 1.0}) {
+        const auto atMost = UnitThreshold::atMost(c);
+        const auto below = UnitThreshold::below(c);
+        for (const std::uint64_t t : {atMost, below}) {
+            for (const std::uint64_t k : {t - 1, t, t + 1}) {
+                if (k >= kDraws)
+                    continue;
+                const double u = static_cast<double>(k) * 0x1.0p-53;
+                EXPECT_EQ(u <= c, k <= atMost) << "c=" << c << " k=" << k;
+                EXPECT_EQ(u < c, k < below) << "c=" << c << " k=" << k;
+            }
+        }
+    }
+}
+
 TEST(Rng, ForkIndependent)
 {
     Rng a(42);

@@ -30,7 +30,12 @@ class BatchTest : public ::testing::Test
     void
     SetUp() override
     {
-        csvPath_ = ::testing::TempDir() + "eat_batch_test.csv";
+        // One file per test: ctest -j runs the tests concurrently.
+        csvPath_ = ::testing::TempDir() + "eat_batch_test_" +
+                   ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name() +
+                   ".csv";
         std::remove(csvPath_.c_str());
     }
 
@@ -209,8 +214,7 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
     ASSERT_TRUE(runBatch(serialOptions, log1).ok());
     const auto serial = csvLines();
 
-    const std::string parallelPath =
-        ::testing::TempDir() + "eat_batch_test_j4.csv";
+    const std::string parallelPath = csvPath_ + ".j4.csv";
     auto parallelOptions = quickOptions();
     parallelOptions.jobs = 4;
     parallelOptions.outPath = parallelPath;
@@ -251,8 +255,7 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
 TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
 {
     // The uninterrupted reference: the whole grid serially (-j1).
-    const std::string referencePath =
-        ::testing::TempDir() + "eat_batch_test_ref.csv";
+    const std::string referencePath = csvPath_ + ".ref.csv";
     auto referenceOptions = quickOptions();
     referenceOptions.jobs = 1;
     referenceOptions.outPath = referencePath;

@@ -230,6 +230,23 @@ TEST(FrontCacheDigest, IdenticalAcrossAllOrgs)
     }
 }
 
+TEST(FrontCacheDigest, ConstructorVetoHoldsForCombinedL1WithRanges)
+{
+    // A combined L1 paired with a range TLB has no replay path, so the
+    // Mmu constructor keeps the front cache off; the driver asking for
+    // it must not turn it back on.
+    auto run = [](bool frontCache) {
+        auto cfg = smallConfig(MmuOrg::RmmLite, frontCache);
+        cfg.workload = *workloads::findWorkload("canneal");
+        cfg.mmu.combinedFullyAssocL1 = true;
+        return sim::simulate(cfg);
+    };
+    const auto onRun = run(true);
+    const auto offRun = run(false);
+    EXPECT_EQ(qa::resultDigest(onRun), qa::resultDigest(offRun));
+    EXPECT_EQ(onRun.frontCacheHits, 0u);
+}
+
 TEST(FrontCacheDigest, IdenticalOnTwoCoreMix)
 {
     const auto mix = mc::parseMixSpec("mcf,canneal");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "workloads/pattern.hh"
@@ -40,6 +41,20 @@ TEST(Span, FromRegions)
     auto s = Span::fromRegions(regions);
     EXPECT_EQ(s.bytes(), 12288u);
     EXPECT_EQ(s.numExtents(), 2u);
+}
+
+TEST(Patterns, ChanceMatchesRngChance)
+{
+    // Same outcomes and same draws as Rng::chance, including the
+    // draw-free p <= 0 and p >= 1 cases.
+    for (const double p : {-1.0, 0.0, 1e-12, 0.05, 0.25, 0.9, 1.0, 2.0}) {
+        const Chance chance(p);
+        Rng a(13);
+        Rng b(13);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(chance(a), b.chance(p)) << "p=" << p;
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
 }
 
 TEST(Patterns, UniformStaysInSpan)
@@ -253,6 +268,92 @@ TEST(Suite, AllWorkloadsBuildAndGenerate)
             ASSERT_GE(op.instrGap, 1u);
         }
     }
+}
+
+/** FNV-1a-style hash of the (vaddr, instrGap) words of @p ops operations
+ *  of @p spec, seed 1, after skipping @p skipInstructions instructions. */
+std::uint64_t
+streamHash(const WorkloadSpec &spec, InstrCount skipInstructions, int ops)
+{
+    vm::MemoryManager mm(vm::OsPolicy{}, spec.footprintBytes() +
+                                             spec.footprintBytes() / 4 +
+                                             256_MiB);
+    WorkloadGenerator gen(spec, mm, 1);
+    gen.skip(skipInstructions);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < ops; ++i) {
+        const auto op = gen.next();
+        for (const std::uint64_t word : {op.vaddr, op.instrGap}) {
+            h ^= word;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(Suite, StreamsArePinned)
+{
+    // Each workload's operation stream (seed 1, after skip(100'000),
+    // the next 100k ops), recorded before the generator's division-
+    // and float-free rewrite. A generator speed change must keep
+    // every one of these bit-identical.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"astar", 0x419419a89f54707dull},
+        {"cactusADM", 0x518aebe7b5e3e635ull},
+        {"GemsFDTD", 0xfc5ca2ad26dab5cdull},
+        {"mcf", 0x356580dda8a96f55ull},
+        {"omnetpp", 0x7fdbd0a976ca06edull},
+        {"zeusmp", 0xd2b2b52198bdce8dull},
+        {"mummer", 0xfb5f60bc77b59adull},
+        {"canneal", 0x2b1e3997e6ee0705ull},
+        {"bwaves", 0xd8475f1b993872c0ull},
+        {"bzip2", 0x736d3878b0171c38ull},
+        {"dealII", 0xce2e720cfd7e9408ull},
+        {"gamess", 0x321c02a3cdfe1868ull},
+        {"gcc", 0xb4d03101e84310e8ull},
+        {"gobmk", 0x8b43cea1945ac230ull},
+        {"gromacs", 0x7bc75f9eda041670ull},
+        {"h264ref", 0x1a6b094fe9ad4068ull},
+        {"hmmer", 0x635a92840d1297e0ull},
+        {"lbm", 0x76b79eb76ce74068ull},
+        {"leslie3d", 0x65f4c30754920478ull},
+        {"libquantum", 0xaf6bfe1e5658f6a8ull},
+        {"milc", 0x254cca4f499cf708ull},
+        {"namd", 0x7cc260cd1b4a8d08ull},
+        {"perlbench", 0xde5ea0a989658da0ull},
+        {"povray", 0x8f3468ec1fc3a740ull},
+        {"sjeng", 0xe75baa12845d73b8ull},
+        {"soplex", 0xc678a6457a73f958ull},
+        {"sphinx3", 0x24e983de83db9570ull},
+        {"tonto", 0x31eaa888398872b0ull},
+        {"wrf", 0xe4ccc88a22e883d0ull},
+        {"xalancbmk", 0xe2e9818120069cb0ull},
+        {"blackscholes", 0x2102edac508aa8e0ull},
+        {"bodytrack", 0x6e7a21e806b7c760ull},
+        {"dedup", 0x78d37453616f9538ull},
+        {"facesim", 0x82ac35e232a3ee18ull},
+        {"ferret", 0x4d9e8f8575f038c8ull},
+        {"fluidanimate", 0xd7924ef40c486490ull},
+        {"freqmine", 0x4337a064e0d97258ull},
+        {"raytrace", 0xdbf7bc8a675b1b70ull},
+        {"streamcluster", 0xb52b9989ecab5798ull},
+        {"swaptions", 0x4b1a63d1bf1c4898ull},
+        {"vips", 0x17f1f6a116764c30ull},
+        {"x264", 0xc20782057f876968ull},
+    };
+    std::size_t checked = 0;
+    for (const auto &spec : allWorkloads()) {
+        const auto it = pinned.find(spec.name);
+        const std::uint64_t h = streamHash(spec, 100'000, 100'000);
+        if (it == pinned.end()) {
+            ADD_FAILURE() << "unpinned: {\"" << spec.name << "\", 0x"
+                          << std::hex << h << "ull},";
+            continue;
+        }
+        EXPECT_EQ(h, it->second) << spec.name;
+        ++checked;
+    }
+    EXPECT_EQ(checked, pinned.size());
 }
 
 TEST(Suite, NamesAreUnique)
