@@ -7,7 +7,8 @@
  * Contract tests:
  *  - `--l3=none` runs are digest-identical to the pre-tier build for
  *    all six organizations (golden digests checked in under
- *    tests/golden/, recorded at the commit that introduced the tier);
+ *    tests/golden/, recorded at the commit that introduced the tier),
+ *    and the same file pins `--l3=cache`, `--l3=dram` and `--vm` cells;
  *  - the l3-accounting and provenance-reconciliation oracles are clean
  *    over a 200-scenario fuzzed campaign in which every scenario runs
  *    one of the two substrates;
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -208,7 +210,7 @@ TEST(L3Config, EnableL3RelaxesLiteEpsilonAgainstTheBackstop)
 
 // --- digest identity: --l3=none is the pre-tier simulator ------------
 
-/** The exact run recorded in tests/golden/l3_none_digests.txt. */
+/** The exact run recorded in tests/golden/digests.txt. */
 sim::SimConfig
 goldenConfig(core::MmuOrg org)
 {
@@ -223,39 +225,65 @@ goldenConfig(core::MmuOrg org)
     return cfg;
 }
 
+/**
+ * Every line of tests/golden/digests.txt is `<label> <digest>`. The
+ * label is an organization name optionally followed by machine
+ * modifiers: `,l3=cache`, `,l3=dram` and `,vm` (paged host, 4 KB host
+ * pages), each layered onto goldenConfig(org) as the CLI flag would.
+ * The plain lines are the --l3=none runs recorded when the tier was
+ * introduced; the modified lines pin the L3, DRAM, host-PWC and
+ * host-walk rows and the leakage order of those machines.
+ */
 TEST(L3DigestIdentity, NoneModeMatchesPreTierGoldenDigests)
 {
     const std::string path =
-        std::string(EAT_CORPUS_DIR) + "/../golden/l3_none_digests.txt";
+        std::string(EAT_CORPUS_DIR) + "/../golden/digests.txt";
     std::ifstream in(path);
     ASSERT_TRUE(in.good()) << "missing golden digest file " << path;
 
-    unsigned checked = 0;
+    std::set<std::string> plainOrgs;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         const auto space = line.find(' ');
         ASSERT_NE(space, std::string::npos) << line;
-        const std::string orgLabel = line.substr(0, space);
+        const std::string label = line.substr(0, space);
         const std::string golden = line.substr(space + 1);
 
-        const core::MmuOrg org = [&orgLabel] {
+        std::istringstream parts(label);
+        std::string orgName;
+        std::getline(parts, orgName, ',');
+        const core::MmuOrg org = [&orgName] {
             for (const auto o : core::allOrgs())
-                if (core::orgName(o) == orgLabel)
+                if (core::orgName(o) == orgName)
                     return o;
-            ADD_FAILURE() << "unknown org in golden file: " << orgLabel;
+            ADD_FAILURE() << "unknown org in golden file: " << orgName;
             return core::MmuOrg::Base4K;
         }();
+        auto cfg = goldenConfig(org);
+        bool plain = true;
+        for (std::string mod; std::getline(parts, mod, ',');) {
+            plain = false;
+            if (mod == "l3=cache")
+                cfg.mmu.enableL3(l3::L3Mode::Cache);
+            else if (mod == "l3=dram")
+                cfg.mmu.enableL3(l3::L3Mode::Dram);
+            else if (mod == "vm")
+                cfg.mmu.vmEnabled = true;
+            else
+                ADD_FAILURE() << "unknown modifier in golden file: " << mod;
+        }
+        if (plain)
+            plainOrgs.insert(orgName);
 
-        const auto result = sim::simulate(goldenConfig(org));
-        EXPECT_EQ(qa::resultDigest(result), golden)
-            << orgLabel
-            << ": an --l3=none run diverged from the pre-tier "
-               "simulator (the tier must be invisible when off)";
-        ++checked;
+        EXPECT_EQ(qa::resultDigest(sim::simulate(cfg)), golden)
+            << label
+            << (plain ? ": an --l3=none run diverged from the pre-tier "
+                        "simulator (the tier must be invisible when off)"
+                      : ": a run diverged from its recorded digest");
     }
-    EXPECT_EQ(checked, core::allOrgs().size())
+    EXPECT_EQ(plainOrgs.size(), core::allOrgs().size())
         << "golden file must cover all six organizations";
 }
 

@@ -6,9 +6,14 @@
  * Table-3 accounting against the Table-2 coefficients.
  */
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/mmu.hh"
+#include "obs/metrics.hh"
 #include "vm/page_table.hh"
 #include "vm/range_table.hh"
 
@@ -390,6 +395,62 @@ TEST_F(MmuTest, LiteClustersCombinedFullyAssocL1)
     // It still translates (refills into the single active entry).
     mmu.access(0x1234);
     EXPECT_GT(mmu.stats().memOps, 0u);
+}
+
+TEST_F(MmuTest, EnergyMetricNamesPerMachine)
+{
+    // The exact energy.* names registerMetrics() binds, per machine.
+    // The registry lists names sorted, so the expected list is sorted
+    // too; each meter token expands to its four per-meter metrics.
+    struct Machine
+    {
+        MmuOrg org;
+        bool vm;
+        l3::L3Mode l3;
+        std::vector<std::string> meters;
+    };
+    const std::vector<std::string> flat{
+        "l1_tlb4k", "l1_tlb2m", "l1_tlb1g", "l2_tlb",
+        "mmu_pde",  "mmu_pdpte", "mmu_pml4", "walk_mem"};
+    auto plus = [&flat](std::vector<std::string> extra) {
+        extra.insert(extra.begin(), flat.begin(), flat.end());
+        return extra;
+    };
+    const std::vector<Machine> machines{
+        {MmuOrg::Base4K, false, l3::L3Mode::None, flat},
+        {MmuOrg::Thp, false, l3::L3Mode::None, flat},
+        {MmuOrg::Rmm, false, l3::L3Mode::None,
+         plus({"l2_range", "range_walk_mem"})},
+        {MmuOrg::Base4K, true, l3::L3Mode::None,
+         plus({"host_pwc", "host_walk_mem"})},
+        {MmuOrg::Base4K, false, l3::L3Mode::Cache, plus({"l3_tlb"})},
+        {MmuOrg::Base4K, false, l3::L3Mode::Dram, plus({"dram_tlb"})},
+    };
+    for (const auto &m : machines) {
+        auto cfg = MmuConfig::make(m.org);
+        cfg.vmEnabled = m.vm;
+        cfg.enableL3(m.l3);
+        Mmu mmu(cfg, pt, &rt);
+        obs::MetricRegistry registry;
+        mmu.registerMetrics(registry);
+
+        std::vector<std::string> expected{
+            "energy.dynamic_pj",      "energy.leakage_mw",
+            "energy.static_gated_pj", "energy.static_full_pj",
+            "energy.shootdown_pj",    "energy.coherence_pj"};
+        for (const auto &token : m.meters)
+            for (const char *field : {"reads", "writes", "read_pj", "write_pj"})
+                expected.push_back("energy." + token + "." + field);
+        std::sort(expected.begin(), expected.end());
+
+        std::vector<std::string> actual;
+        for (const auto &name : registry.names())
+            if (name.rfind("energy.", 0) == 0)
+                actual.push_back(name);
+        EXPECT_EQ(actual, expected)
+            << orgName(m.org) << (m.vm ? ",vm" : "") << ",l3="
+            << l3::l3ModeName(m.l3);
+    }
 }
 
 } // namespace
