@@ -15,6 +15,14 @@ namespace
 {
 
 using energy::StructClass;
+using obs::ProvStruct;
+
+/** The meter-table row of structure @p s. */
+constexpr unsigned
+idx(ProvStruct s)
+{
+    return static_cast<unsigned>(s);
+}
 
 /** Coefficients for every power-of-two downsizing of a page TLB. */
 std::vector<energy::EnergyCoefficients>
@@ -102,45 +110,9 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
                                                        std::move(monitored));
     }
 
-    // --- energy coefficients ---
-    if (cfg_.combinedFullyAssocL1) {
-        m4K_.coeffByLogWays = resizableCoeffs(
-            cacti_, StructClass::L1TlbMixedFA,
-            TlbGeom{cfg_.combinedL1Entries, cfg_.combinedL1Entries});
-    } else {
-        m4K_.coeffByLogWays =
-            resizableCoeffs(cacti_, StructClass::L1Tlb4K, cfg_.l1Tlb4K);
-    }
-    mL2_.coeffByLogWays =
-        fixedCoeff(cacti_, StructClass::L2Tlb4K, cfg_.l2Tlb.entries,
-                   cfg_.l2Tlb.ways);
-    if (l1Page2M_) {
-        m2M_.coeffByLogWays =
-            resizableCoeffs(cacti_, StructClass::L1Tlb2M, cfg_.l1Tlb2M);
-        m1G_.coeffByLogWays = resizableCoeffs(
-            cacti_, StructClass::L1Tlb1G,
-            TlbGeom{cfg_.l1Tlb1GEntries, cfg_.l1Tlb1GEntries});
-    }
-    if (l1Range_) {
-        mL1Range_.coeffByLogWays = fixedCoeff(
-            cacti_, StructClass::L1RangeTlb, cfg_.l1RangeEntries, 0);
-    }
-    if (l2Range_) {
-        mL2Range_.coeffByLogWays = fixedCoeff(
-            cacti_, StructClass::L2RangeTlb, cfg_.l2RangeEntries, 0);
-    }
-    mPde_.coeffByLogWays =
-        fixedCoeff(cacti_, StructClass::MmuPde, cfg_.mmuCache.pdeEntries,
-                   cfg_.mmuCache.pdeWays);
-    mPdpte_.coeffByLogWays = fixedCoeff(
-        cacti_, StructClass::MmuPdpte, cfg_.mmuCache.pdpteEntries, 0);
-    mPml4_.coeffByLogWays =
-        fixedCoeff(cacti_, StructClass::MmuPml4, cfg_.mmuCache.pml4Entries, 0);
-
     // Nested paging: the host dimension mirrors the guest machinery — a
     // host table, its own paging-structure cache, and the composed
-    // two-dimensional walker. One lumped meter covers the host PWC
-    // (one probe per host walk; same PDE-class coefficients).
+    // two-dimensional walker.
     if (cfg_.vmEnabled) {
         vm::HostTableConfig hostCfg;
         hostCfg.mode = cfg_.vmIdentityHost ? vm::HostMode::Identity
@@ -150,23 +122,94 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
         hostPwc_ = std::make_unique<tlb::MmuCache>(cfg_.hostPwc);
         nestedWalker_ = std::make_unique<vm::NestedWalker>(
             pageTable, mmuCache_, *hostTable_, *hostPwc_);
-        mHostPwc_.coeffByLogWays = fixedCoeff(
-            cacti_, StructClass::MmuPde, cfg_.hostPwc.pdeEntries,
-            cfg_.hostPwc.pdeWays);
     }
 
     // L3 translation tier: at most one substrate behind the L2 TLBs.
-    // Both meters reuse the standard charge paths; the coefficient
-    // index selects the stage (dram: 0 = SRAM tag cache, 1 = DRAM
-    // array), so provenance reconciles with no new machinery.
-    if (cfg_.l3Mode == l3::L3Mode::Cache) {
+    if (cfg_.l3Mode == l3::L3Mode::Cache)
         l3Cache_ = std::make_unique<l3::CacheTlb>(cfg_.l3Cache, cacti_);
-        mL3_.coeffByLogWays = {l3Cache_->coefficients()};
-    } else if (cfg_.l3Mode == l3::L3Mode::Dram) {
+    else if (cfg_.l3Mode == l3::L3Mode::Dram)
         l3Dram_ = std::make_unique<l3::DramTlb>(cfg_.l3Dram, cacti_);
-        mDram_.coeffByLogWays = {l3Dram_->tagCoefficients(),
-                                 l3Dram_->dramCoefficients()};
-    }
+
+    // --- the meter table: one row per ProvStruct ---
+    // Coefficients exist only for the structures this machine has. The
+    // L3 rows reuse the standard charge paths; the coefficient index
+    // selects the stage (dram: 0 = SRAM tag cache, 1 = DRAM array), so
+    // provenance reconciles with no new machinery.
+    using Coeffs = std::vector<energy::EnergyCoefficients>;
+    using B = energy::EnergyBreakdown;
+    auto row = [this](ProvStruct s, bool present, std::string name,
+                      const char *token, PicoJoules B::*category,
+                      Coeffs coeffs) {
+        meters_[idx(s)] = {{}, std::move(coeffs), present, std::move(name),
+                           token, category};
+    };
+    // A TLB row takes its presence and report name from the TLB.
+    auto tlbRow = [&row](ProvStruct s, const auto &tlb, const char *token,
+                         PicoJoules B::*category, Coeffs coeffs) {
+        row(s, tlb != nullptr, tlb ? tlb->name() : "", token, category,
+            std::move(coeffs));
+    };
+    const TlbGeom l1Geom =
+        cfg_.combinedFullyAssocL1
+            ? TlbGeom{cfg_.combinedL1Entries, cfg_.combinedL1Entries}
+            : cfg_.l1Tlb4K;
+    tlbRow(ProvStruct::L1Tlb4K, l1Page4K_, "l1_tlb4k", &B::l1Tlb,
+           resizableCoeffs(cacti_,
+                           cfg_.combinedFullyAssocL1
+                               ? StructClass::L1TlbMixedFA
+                               : StructClass::L1Tlb4K,
+                           l1Geom));
+    tlbRow(ProvStruct::L1Tlb2M, l1Page2M_, "l1_tlb2m", &B::l1Tlb,
+           l1Page2M_ ? resizableCoeffs(cacti_, StructClass::L1Tlb2M,
+                                       cfg_.l1Tlb2M)
+                     : Coeffs{});
+    tlbRow(ProvStruct::L1Tlb1G, l1Page1G_, "l1_tlb1g", &B::l1Tlb,
+           l1Page1G_ ? resizableCoeffs(cacti_, StructClass::L1Tlb1G,
+                                       TlbGeom{cfg_.l1Tlb1GEntries,
+                                               cfg_.l1Tlb1GEntries})
+                     : Coeffs{});
+    tlbRow(ProvStruct::L2Tlb, l2Page_, "l2_tlb", &B::l2Tlb,
+           fixedCoeff(cacti_, StructClass::L2Tlb4K, cfg_.l2Tlb.entries,
+                      cfg_.l2Tlb.ways));
+    tlbRow(ProvStruct::L1Range, l1Range_, "l1_range", &B::l1Tlb,
+           l1Range_ ? fixedCoeff(cacti_, StructClass::L1RangeTlb,
+                                 cfg_.l1RangeEntries, 0)
+                    : Coeffs{});
+    tlbRow(ProvStruct::L2Range, l2Range_, "l2_range", &B::l2Tlb,
+           l2Range_ ? fixedCoeff(cacti_, StructClass::L2RangeTlb,
+                                 cfg_.l2RangeEntries, 0)
+                    : Coeffs{});
+    const auto &pwc = cfg_.mmuCache;
+    row(ProvStruct::PwcPde, true, "MMU-cache-PDE", "mmu_pde", &B::mmuCache,
+        fixedCoeff(cacti_, StructClass::MmuPde, pwc.pdeEntries,
+                   pwc.pdeWays));
+    row(ProvStruct::PwcPdpte, true, "MMU-cache-PDPTE", "mmu_pdpte",
+        &B::mmuCache,
+        fixedCoeff(cacti_, StructClass::MmuPdpte, pwc.pdpteEntries, 0));
+    row(ProvStruct::PwcPml4, true, "MMU-cache-PML4", "mmu_pml4",
+        &B::mmuCache,
+        fixedCoeff(cacti_, StructClass::MmuPml4, pwc.pml4Entries, 0));
+    row(ProvStruct::WalkMem, true, "page-walk memory", "walk_mem",
+        &B::pageWalkMem, {});
+    row(ProvStruct::RangeWalkMem, rangeWalker_ != nullptr,
+        "range-walk memory", "range_walk_mem", &B::rangeWalkMem, {});
+    // One lumped host-PWC meter: one probe per host walk, with the
+    // guest PDE cache's coefficient class.
+    row(ProvStruct::HostPwc, nestedWalker_ != nullptr, "host-PWC",
+        "host_pwc", &B::mmuCache,
+        nestedWalker_ ? fixedCoeff(cacti_, StructClass::MmuPde,
+                                   cfg_.hostPwc.pdeEntries,
+                                   cfg_.hostPwc.pdeWays)
+                      : Coeffs{});
+    row(ProvStruct::HostWalkMem, nestedWalker_ != nullptr,
+        "host-walk memory", "host_walk_mem", &B::hostWalkMem, {});
+    row(ProvStruct::L3Tlb, l3Cache_ != nullptr, "L3-cache TLB", "l3_tlb",
+        &B::l3Tlb, l3Cache_ ? Coeffs{l3Cache_->coefficients()} : Coeffs{});
+    row(ProvStruct::DramTlb, l3Dram_ != nullptr, "DRAM TLB", "dram_tlb",
+        &B::l3Tlb,
+        l3Dram_ ? Coeffs{l3Dram_->tagCoefficients(),
+                         l3Dram_->dramCoefficients()}
+                : Coeffs{});
 
     // Page-walk references: a blend of L1 and L2 data-cache reads
     // controlled by the Figure-3 locality knob.
@@ -189,67 +232,51 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
         front2M_.resize(l1Page2M_->sets());
     if ((cfg_.mixedTlbs || cfg_.combinedFullyAssocL1) && l1Range_)
         frontAllowed_ = frontEnabled_ = false;
-
-    // Provenance identities (must match the dynamicEnergyTotal() order
-    // documented on obs::ProvStruct).
-    m4K_.id = obs::ProvStruct::L1Tlb4K;
-    m2M_.id = obs::ProvStruct::L1Tlb2M;
-    m1G_.id = obs::ProvStruct::L1Tlb1G;
-    mL2_.id = obs::ProvStruct::L2Tlb;
-    mL1Range_.id = obs::ProvStruct::L1Range;
-    mL2Range_.id = obs::ProvStruct::L2Range;
-    mPde_.id = obs::ProvStruct::PwcPde;
-    mPdpte_.id = obs::ProvStruct::PwcPdpte;
-    mPml4_.id = obs::ProvStruct::PwcPml4;
-    mHostPwc_.id = obs::ProvStruct::HostPwc;
-    mL3_.id = obs::ProvStruct::L3Tlb;
-    mDram_.id = obs::ProvStruct::DramTlb;
 }
 
 void
-Mmu::chargeRead(Metered &m, unsigned logWays, bool hit)
+Mmu::chargeRead(ProvStruct s, unsigned logWays, bool hit)
 {
+    Metered &m = meters_[idx(s)];
     eat_assert(logWays < m.coeffByLogWays.size(), "bad coefficient index");
     const PicoJoules pj = m.coeffByLogWays[logWays].read;
     m.meter.chargeRead(pj);
     if (EAT_PROV_ENABLED && prov_) {
-        prov_->emit({stats_.instructions, 0, pj, obs::ProvKind::Probe,
-                     m.id, coreId_, asid_, 0, hit, 1u << logWays, 0});
+        prov_->emit({stats_.instructions, 0, pj, obs::ProvKind::Probe, s,
+                     coreId_, asid_, 0, hit, 1u << logWays, 0});
     }
 }
 
 void
-Mmu::chargeWrite(Metered &m, unsigned logWays, unsigned psShift)
+Mmu::chargeWrite(ProvStruct s, unsigned logWays, unsigned psShift)
 {
+    Metered &m = meters_[idx(s)];
     eat_assert(logWays < m.coeffByLogWays.size(), "bad coefficient index");
     const PicoJoules pj = m.coeffByLogWays[logWays].write;
     m.meter.chargeWrite(pj);
     if (EAT_PROV_ENABLED && prov_) {
-        prov_->emit({stats_.instructions, 0, pj, obs::ProvKind::Fill, m.id,
+        prov_->emit({stats_.instructions, 0, pj, obs::ProvKind::Fill, s,
                      coreId_, asid_, static_cast<std::uint8_t>(psShift),
                      false, 1u << logWays, 0});
     }
 }
 
 void
-Mmu::chargeWalkMemory(unsigned refs, bool rangeWalk, unsigned leafLevel)
+Mmu::chargeWalkRefs(ProvStruct s, unsigned refs, unsigned leafLevel)
 {
-    auto &meter = rangeWalk ? rangeWalkMemMeter_ : walkMemMeter_;
+    energy::EnergyMeter &meter = meters_[idx(s)].meter;
     // One event per reference, not refs * energy: repeated addition of
     // a double is not the same as multiplication, and the provenance
     // totals must stay bit-identical to the meter.
     for (unsigned i = 0; i < refs; ++i) {
         meter.chargeRead(walkRefEnergy_);
         if (EAT_PROV_ENABLED && prov_) {
-            // The walk fetches top-down; reference i touches level
-            // leafLevel + refs - 1 - i (range walks report level 0).
-            const unsigned level =
-                rangeWalk ? 0 : leafLevel + refs - 1 - i;
+            const unsigned level = s == ProvStruct::RangeWalkMem
+                                       ? 0
+                                       : leafLevel + refs - 1 - i;
             prov_->emit({stats_.instructions, 0, walkRefEnergy_,
-                         obs::ProvKind::WalkRef,
-                         rangeWalk ? obs::ProvStruct::RangeWalkMem
-                                   : obs::ProvStruct::WalkMem,
-                         coreId_, asid_, 0, false, level, 0});
+                         obs::ProvKind::WalkRef, s, coreId_, asid_, 0,
+                         false, level, 0});
         }
     }
 }
@@ -261,37 +288,25 @@ Mmu::chargeNestedWalk(const vm::NestedWalkResult &walk)
     stats_.hostWalkMemRefs += walk.hostMemRefs;
     stats_.walkCycles +=
         cfg_.hostWalkCyclesPerRef * Cycles(walk.hostMemRefs);
+    const unsigned leaf = tlb::MmuCache::leafLevel(hostTable_->pageSize());
     for (unsigned w = 0; w < walk.hostWalkCount; ++w) {
         const auto &host = walk.hostWalks[w];
         // One lumped host-PWC probe per host walk (reads == hostWalks,
         // the accounting oracle's anchor) plus one write per entry the
         // walk installed.
-        chargeRead(mHostPwc_, 0, host.pwcHit);
+        chargeRead(ProvStruct::HostPwc, 0, host.pwcHit);
         for (unsigned f = 0; f < host.pwcFills; ++f)
-            chargeWrite(mHostPwc_);
-        // One event per host-table reference; repeated addition keeps
-        // the provenance totals bit-identical to the meter.
-        const unsigned leaf =
-            tlb::MmuCache::leafLevel(hostTable_->pageSize());
-        for (unsigned i = 0; i < host.memRefs; ++i) {
-            hostWalkMemMeter_.chargeRead(walkRefEnergy_);
-            if (EAT_PROV_ENABLED && prov_) {
-                const unsigned level = leaf + host.memRefs - 1 - i;
-                prov_->emit({stats_.instructions, 0, walkRefEnergy_,
-                             obs::ProvKind::WalkRef,
-                             obs::ProvStruct::HostWalkMem, coreId_, asid_,
-                             0, false, level, 0});
-            }
-        }
+            chargeWrite(ProvStruct::HostPwc);
+        chargeWalkRefs(ProvStruct::HostWalkMem, host.memRefs, leaf);
     }
 }
 
 void
-Mmu::provEvict(const Metered &m, bool evicted)
+Mmu::provEvict(ProvStruct s, bool evicted)
 {
     if (EAT_PROV_ENABLED && prov_ && evicted) {
-        prov_->emit({stats_.instructions, 0, 0.0, obs::ProvKind::Evict,
-                     m.id, coreId_, asid_, 0, false, 0, 0});
+        prov_->emit({stats_.instructions, 0, 0.0, obs::ProvKind::Evict, s,
+                     coreId_, asid_, 0, false, 0, 0});
     }
 }
 
@@ -319,30 +334,30 @@ void
 Mmu::fillL1Page(const tlb::TlbEntry &entry)
 {
     if (cfg_.mixedTlbs || cfg_.combinedFullyAssocL1) {
-        chargeWrite(m4K_, logWaysOf(*l1Page4K_), entry.shift);
-        provEvict(m4K_, l1Page4K_->fill(entry));
+        chargeWrite(ProvStruct::L1Tlb4K, logWaysOf(*l1Page4K_), entry.shift);
+        provEvict(ProvStruct::L1Tlb4K, l1Page4K_->fill(entry));
         return;
     }
     switch (entry.size) {
       case vm::PageSize::Size4K:
-        chargeWrite(m4K_, logWaysOf(*l1Page4K_), entry.shift);
-        provEvict(m4K_, l1Page4K_->fill(entry));
+        chargeWrite(ProvStruct::L1Tlb4K, logWaysOf(*l1Page4K_), entry.shift);
+        provEvict(ProvStruct::L1Tlb4K, l1Page4K_->fill(entry));
         break;
       case vm::PageSize::Size2M:
         if (!enabled2M_) { // naive static mask lifts on first 2 MB fill
             enabled2M_ = true;
             leakCache_.valid = false;
         }
-        chargeWrite(m2M_, logWaysOf(*l1Page2M_), entry.shift);
-        provEvict(m2M_, l1Page2M_->fill(entry));
+        chargeWrite(ProvStruct::L1Tlb2M, logWaysOf(*l1Page2M_), entry.shift);
+        provEvict(ProvStruct::L1Tlb2M, l1Page2M_->fill(entry));
         break;
       case vm::PageSize::Size1G:
         if (!enabled1G_) {
             enabled1G_ = true;
             leakCache_.valid = false;
         }
-        chargeWrite(m1G_, logWaysOf(*l1Page1G_), entry.shift);
-        provEvict(m1G_, l1Page1G_->fill(entry));
+        chargeWrite(ProvStruct::L1Tlb1G, logWaysOf(*l1Page1G_), entry.shift);
+        provEvict(ProvStruct::L1Tlb1G, l1Page1G_->fill(entry));
         break;
     }
 }
@@ -402,12 +417,12 @@ Mmu::frontReplayPage(Addr vaddr, tlb::SetAssocTlb &tlb,
         // set it selects is the memo's set either way.
         const unsigned lw4K = logWaysOf(tlb);
         tlb.commitReplayHit(slot.set, slot.way);
-        chargeRead(m4K_, lw4K, true);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K, true);
         stats_.l1WayLookups4K.record(lw4K);
     } else if (cfg_.combinedFullyAssocL1) {
         const unsigned lw4K = logWaysOf(tlb);
         const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-        chargeRead(m4K_, lw4K, true);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K, true);
         stats_.l1WayLookups4K.record(lw4K);
         if (lite_)
             lite_->onTlbHit(0, d, true);
@@ -418,31 +433,31 @@ Mmu::frontReplayPage(Addr vaddr, tlb::SetAssocTlb &tlb,
         // counter match bit for bit.
         if (l1Range_ && enabledL1Range_) {
             l1Range_->noteMiss();
-            chargeRead(mL1Range_, 0, false);
+            chargeRead(ProvStruct::L1Range, 0, false);
         }
         const unsigned lw4K = logWaysOf(*l1Page4K_);
         if (src == HitSource::L1Page4K) {
             const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-            chargeRead(m4K_, lw4K, true);
+            chargeRead(ProvStruct::L1Tlb4K, lw4K, true);
             stats_.l1WayLookups4K.record(lw4K);
             if (lite_)
                 lite_->onTlbHit(0, d, true);
         } else {
             l1Page4K_->noteMiss();
-            chargeRead(m4K_, lw4K, false);
+            chargeRead(ProvStruct::L1Tlb4K, lw4K, false);
             stats_.l1WayLookups4K.record(lw4K);
         }
         if (enabled2M_) {
             const unsigned lw2M = logWaysOf(*l1Page2M_);
             if (src == HitSource::L1Page2M) {
                 const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-                chargeRead(m2M_, lw2M, true);
+                chargeRead(ProvStruct::L1Tlb2M, lw2M, true);
                 stats_.l1WayLookups2M.record(lw2M);
                 if (lite_)
                     lite_->onTlbHit(1, d, true);
             } else {
                 l1Page2M_->noteMiss();
-                chargeRead(m2M_, lw2M, false);
+                chargeRead(ProvStruct::L1Tlb2M, lw2M, false);
                 stats_.l1WayLookups2M.record(lw2M);
             }
         }
@@ -450,12 +465,12 @@ Mmu::frontReplayPage(Addr vaddr, tlb::SetAssocTlb &tlb,
             const unsigned lw1G = logWaysOf(*l1Page1G_);
             if (src == HitSource::L1Page1G) {
                 const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-                chargeRead(m1G_, lw1G, true);
+                chargeRead(ProvStruct::L1Tlb1G, lw1G, true);
                 if (lite_)
                     lite_->onTlbHit(2, d, true);
             } else {
                 l1Page1G_->noteMiss();
-                chargeRead(m1G_, lw1G, false);
+                chargeRead(ProvStruct::L1Tlb1G, lw1G, false);
             }
         }
     }
@@ -483,21 +498,21 @@ Mmu::frontReplayRange(Addr vaddr)
 
     const vm::RangeTranslation range =
         l1Range_->commitReplayHit(frontRange_.set);
-    chargeRead(mL1Range_, 0, true);
+    chargeRead(ProvStruct::L1Range, 0, true);
 
     // Full-path rangeHit semantics: the parallel page-TLB probes burn
     // lookup energy but their entries are not used — no recency
     // refresh, no hit/miss counting, no Lite utility.
     const unsigned lw4K = logWaysOf(*l1Page4K_);
-    chargeRead(m4K_, lw4K);
+    chargeRead(ProvStruct::L1Tlb4K, lw4K);
     stats_.l1WayLookups4K.record(lw4K);
     if (enabled2M_) {
         const unsigned lw2M = logWaysOf(*l1Page2M_);
-        chargeRead(m2M_, lw2M);
+        chargeRead(ProvStruct::L1Tlb2M, lw2M);
         stats_.l1WayLookups2M.record(lw2M);
     }
     if (enabled1G_)
-        chargeRead(m1G_, logWaysOf(*l1Page1G_));
+        chargeRead(ProvStruct::L1Tlb1G, logWaysOf(*l1Page1G_));
 
     ++stats_.l1Hits;
     ++stats_.hitsBySource[static_cast<unsigned>(HitSource::L1Range)];
@@ -531,7 +546,7 @@ Mmu::access(Addr vaddr)
     std::optional<vm::RangeTranslation> l1r;
     if (l1Range_ && enabledL1Range_) {
         l1r = l1Range_->lookup(vaddr, asid_);
-        chargeRead(mL1Range_, 0, l1r.has_value());
+        chargeRead(ProvStruct::L1Range, 0, l1r.has_value());
         if (l1r)
             rangeHit = true;
     }
@@ -550,7 +565,7 @@ Mmu::access(Addr vaddr)
         const unsigned lw4K = logWaysOf(*l1Page4K_);
         auto res = l1Page4K_->lookupWithShift(
             vaddr, vm::pageShift(mixedPredicted), asid_);
-        chargeRead(m4K_, lw4K, res.hit);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K, res.hit);
         stats_.l1WayLookups4K.record(lw4K);
         if (res.hit) {
             pageHit = true;
@@ -564,7 +579,7 @@ Mmu::access(Addr vaddr)
         // clusters its LRU distances as pseudo-ways (§4.4).
         const unsigned lw4K = logWaysOf(*l1Page4K_);
         auto res = l1Page4K_->lookup(vaddr, asid_);
-        chargeRead(m4K_, lw4K, res.hit);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K, res.hit);
         stats_.l1WayLookups4K.record(lw4K);
         if (res.hit) {
             pageHit = true;
@@ -583,20 +598,20 @@ Mmu::access(Addr vaddr)
         // would pin themselves at the MRU end forever and mask the
         // utility signal of the traffic only the page TLBs serve.
         const unsigned lw4K = logWaysOf(*l1Page4K_);
-        chargeRead(m4K_, lw4K);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K);
         stats_.l1WayLookups4K.record(lw4K);
         if (enabled2M_) {
             const unsigned lw2M = logWaysOf(*l1Page2M_);
-            chargeRead(m2M_, lw2M);
+            chargeRead(ProvStruct::L1Tlb2M, lw2M);
             stats_.l1WayLookups2M.record(lw2M);
         }
         if (enabled1G_)
-            chargeRead(m1G_, logWaysOf(*l1Page1G_));
+            chargeRead(ProvStruct::L1Tlb1G, logWaysOf(*l1Page1G_));
     } else {
         // L1-4KB TLB: always enabled.
         const unsigned lw4K = logWaysOf(*l1Page4K_);
         auto res4k = l1Page4K_->lookup(vaddr, asid_);
-        chargeRead(m4K_, lw4K, res4k.hit);
+        chargeRead(ProvStruct::L1Tlb4K, lw4K, res4k.hit);
         stats_.l1WayLookups4K.record(lw4K);
         if (res4k.hit) {
             pageHit = true;
@@ -611,7 +626,7 @@ Mmu::access(Addr vaddr)
         if (enabled2M_) {
             const unsigned lw2M = logWaysOf(*l1Page2M_);
             auto res2m = l1Page2M_->lookup(vaddr, asid_);
-            chargeRead(m2M_, lw2M, res2m.hit);
+            chargeRead(ProvStruct::L1Tlb2M, lw2M, res2m.hit);
             stats_.l1WayLookups2M.record(lw2M);
             if (res2m.hit) {
                 eat_assert(!pageHit, "address mapped by two page sizes");
@@ -626,7 +641,7 @@ Mmu::access(Addr vaddr)
         }
         if (enabled1G_) {
             auto res1g = l1Page1G_->lookup(vaddr, asid_);
-            chargeRead(m1G_, logWaysOf(*l1Page1G_), res1g.hit);
+            chargeRead(ProvStruct::L1Tlb1G, logWaysOf(*l1Page1G_), res1g.hit);
             if (res1g.hit) {
                 eat_assert(!pageHit, "address mapped by two page sizes");
                 pageHit = true;
@@ -695,7 +710,7 @@ Mmu::access(Addr vaddr)
     std::optional<vm::RangeTranslation> l2r;
     if (l2Range_ && enabledL2Range_) {
         l2r = l2Range_->lookup(vaddr, asid_);
-        chargeRead(mL2Range_, 0, l2r.has_value());
+        chargeRead(ProvStruct::L2Range, 0, l2r.has_value());
     }
 
     tlb::TlbLookupResult l2res;
@@ -707,7 +722,7 @@ Mmu::access(Addr vaddr)
         // 2 MB translations live solely in the L1-2MB TLB.
         l2res = l2Page_->lookup(vaddr, asid_);
     }
-    chargeRead(mL2_, 0, l2res.hit);
+    chargeRead(ProvStruct::L2Tlb, 0, l2res.hit);
 
     if (l2r) {
         // L2-range hit: copy the range into the L1-range TLB, plus the
@@ -729,8 +744,8 @@ Mmu::access(Addr vaddr)
                 enabledL1Range_ = true;
                 leakCache_.valid = false;
             }
-            chargeWrite(mL1Range_);
-            provEvict(mL1Range_, l1Range_->fill(*l2r, asid_));
+            chargeWrite(ProvStruct::L1Range);
+            provEvict(ProvStruct::L1Range, l1Range_->fill(*l2r, asid_));
         }
         auto t = pageTable_->translate(vaddr);
         if (!t)
@@ -779,19 +794,19 @@ Mmu::access(Addr vaddr)
                       : walker_.walk(vaddr);
 
     // All three paging-structure caches are probed in parallel.
-    chargeRead(mPde_, 0, walk.cache.hitPde);
-    chargeRead(mPdpte_, 0, walk.cache.hitPdpte);
-    chargeRead(mPml4_, 0, walk.cache.hitPml4);
+    chargeRead(ProvStruct::PwcPde, 0, walk.cache.hitPde);
+    chargeRead(ProvStruct::PwcPdpte, 0, walk.cache.hitPdpte);
+    chargeRead(ProvStruct::PwcPml4, 0, walk.cache.hitPml4);
     if (walk.cache.filledPde)
-        chargeWrite(mPde_);
+        chargeWrite(ProvStruct::PwcPde);
     if (walk.cache.filledPdpte)
-        chargeWrite(mPdpte_);
+        chargeWrite(ProvStruct::PwcPdpte);
     if (walk.cache.filledPml4)
-        chargeWrite(mPml4_);
+        chargeWrite(ProvStruct::PwcPml4);
 
     stats_.walkMemRefs += walk.cache.memRefs;
-    chargeWalkMemory(walk.cache.memRefs, false,
-                     tlb::MmuCache::leafLevel(walk.translation.size));
+    chargeWalkRefs(ProvStruct::WalkMem, walk.cache.memRefs,
+                   tlb::MmuCache::leafLevel(walk.translation.size));
     if (nested.hostWalkCount > 0)
         chargeNestedWalk(nested);
 
@@ -803,8 +818,8 @@ Mmu::access(Addr vaddr)
     // The L2 TLB holds 4 KB entries only (Sandy Bridge), except for
     // TLB_PP's mixed L2.
     if (cfg_.mixedTlbs || entry.size == vm::PageSize::Size4K) {
-        chargeWrite(mL2_, 0, entry.shift);
-        provEvict(mL2_, l2Page_->fill(entry));
+        chargeWrite(ProvStruct::L2Tlb, 0, entry.shift);
+        provEvict(ProvStruct::L2Tlb, l2Page_->fill(entry));
     }
     if (l3Cache_ || l3Dram_)
         fillL3(entry);
@@ -815,14 +830,14 @@ Mmu::access(Addr vaddr)
         const auto rw = rangeWalker_->walk(vaddr);
         ++stats_.rangeWalks;
         stats_.rangeWalkMemRefs += rw.memRefs;
-        chargeWalkMemory(rw.memRefs, true);
+        chargeWalkRefs(ProvStruct::RangeWalkMem, rw.memRefs, 0);
         if (rw.range && l2Range_) {
             if (!enabledL2Range_) {
                 enabledL2Range_ = true;
                 leakCache_.valid = false;
             }
-            chargeWrite(mL2Range_);
-            provEvict(mL2Range_, l2Range_->fill(*rw.range, asid_));
+            chargeWrite(ProvStruct::L2Range);
+            provEvict(ProvStruct::L2Range, l2Range_->fill(*rw.range, asid_));
         }
     }
     provEnd(hitSourceName(HitSource::PageWalk), entry.shift, false);
@@ -837,7 +852,7 @@ Mmu::probeL3(Addr vaddr)
     if (l3Cache_) {
         stats_.walkCycles += cfg_.l3Cache.probeLatency;
         const auto res = l3Cache_->lookup(vaddr, asid_);
-        chargeRead(mL3_, 0, res.hit);
+        chargeRead(ProvStruct::L3Tlb, 0, res.hit);
         hit = res.hit;
         entry = res.entry;
     } else {
@@ -845,13 +860,13 @@ Mmu::probeL3(Addr vaddr)
         // The SRAM tag cache is probed on every access; the DRAM array
         // only when the tags could not prove the translation absent.
         stats_.walkCycles += cfg_.l3Dram.tagLatency;
-        chargeRead(mDram_, 0, res.tagCacheHit);
+        chargeRead(ProvStruct::DramTlb, 0, res.tagCacheHit);
         if (res.tagCacheHit)
             ++stats_.dramTagHits;
         if (res.dramAccessed) {
             ++stats_.dramAccesses;
             stats_.walkCycles += cfg_.l3Dram.dramLatency;
-            chargeRead(mDram_, 1, res.hit);
+            chargeRead(ProvStruct::DramTlb, 1, res.hit);
         }
         hit = res.hit;
         entry = res.entry;
@@ -875,8 +890,8 @@ Mmu::probeL3(Addr vaddr)
     fillL1Page(entry);
     // The tier holds 4 KB entries, which the L2 TLB accepts in every
     // organization (mixed L2s accept all sizes).
-    chargeWrite(mL2_, 0, entry.shift);
-    provEvict(mL2_, l2Page_->fill(entry));
+    chargeWrite(ProvStruct::L2Tlb, 0, entry.shift);
+    provEvict(ProvStruct::L2Tlb, l2Page_->fill(entry));
     provEnd(source, entry.shift, false);
     return true;
 }
@@ -891,16 +906,16 @@ Mmu::fillL3(const tlb::TlbEntry &entry)
     if (l3Cache_) {
         if (!l3Cache_->admitOnWalk())
             return;
-        chargeWrite(mL3_, 0, entry.shift);
+        chargeWrite(ProvStruct::L3Tlb, 0, entry.shift);
         const bool evicted = l3Cache_->fill(entry);
-        provEvict(mL3_, evicted);
+        provEvict(ProvStruct::L3Tlb, evicted);
         ++stats_.l3Fills;
         if (evicted)
             ++stats_.l3Evictions;
     } else {
-        chargeWrite(mDram_, 1, entry.shift);
+        chargeWrite(ProvStruct::DramTlb, 1, entry.shift);
         const bool evicted = l3Dram_->fill(entry);
-        provEvict(mDram_, evicted);
+        provEvict(ProvStruct::DramTlb, evicted);
         ++stats_.l3Fills;
         if (evicted)
             ++stats_.l3Evictions;
@@ -1045,32 +1060,42 @@ Mmu::auditWayMasks()
 MilliWatts
 Mmu::leakagePower(bool gated) const
 {
-    auto leak = [gated](const Metered &m, unsigned logWays) {
-        const auto idx =
-            gated ? logWays
-                  : static_cast<unsigned>(m.coeffByLogWays.size() - 1);
-        return idx < m.coeffByLogWays.size()
-                   ? m.coeffByLogWays[idx].leakage
-                   : 0.0;
-    };
-    MilliWatts total = leak(m4K_, logWaysOf(*l1Page4K_)) + leak(mL2_, 0) +
-                       leak(mPde_, 0) + leak(mPdpte_, 0) +
-                       leak(mPml4_, 0);
-    if (l1Page2M_ && enabled2M_)
-        total += leak(m2M_, logWaysOf(*l1Page2M_));
-    if (l1Page1G_ && enabled1G_)
-        total += leak(m1G_, logWaysOf(*l1Page1G_));
-    if (l1Range_ && enabledL1Range_)
-        total += leak(mL1Range_, 0);
-    if (l2Range_ && enabledL2Range_)
-        total += leak(mL2Range_, 0);
-    // L3 tier leakage is constant while configured (reserved-share
-    // model for the cache substrate, SRAM tag cache for DRAM), so the
-    // leakage memo's key needs no new inputs.
-    if (l3Cache_)
-        total += leak(mL3_, 0);
-    if (l3Dram_)
-        total += leak(mDram_, 0);
+    // Leak order: the order each structure's term entered this sum.
+    // It exists only to keep the IEEE sum, and so every digest's
+    // leakage field, bit-identical. The walk meters have no leakage;
+    // the host PWC is metered but has never been part of this sum. L3
+    // tier leakage is constant while configured (reserved-share model
+    // for the cache substrate, SRAM tag cache for DRAM), so the leakage
+    // memo's key needs no new inputs.
+    static constexpr std::array kLeakOrder{
+        ProvStruct::L1Tlb4K, ProvStruct::L2Tlb,   ProvStruct::PwcPde,
+        ProvStruct::PwcPdpte, ProvStruct::PwcPml4, ProvStruct::L1Tlb2M,
+        ProvStruct::L1Tlb1G, ProvStruct::L1Range, ProvStruct::L2Range,
+        ProvStruct::L3Tlb,   ProvStruct::DramTlb};
+    MilliWatts total = 0.0;
+    for (const ProvStruct s : kLeakOrder) {
+        // The static masks (paper §3.1), and the resizable L1s whose
+        // active ways select the gated coefficient.
+        const bool enabled = s == ProvStruct::L1Tlb2M   ? enabled2M_
+                             : s == ProvStruct::L1Tlb1G ? enabled1G_
+                             : s == ProvStruct::L1Range ? enabledL1Range_
+                             : s == ProvStruct::L2Range ? enabledL2Range_
+                                                        : true;
+        const tlb::SetAssocTlb *resizable =
+            s == ProvStruct::L1Tlb4K   ? l1Page4K_.get()
+            : s == ProvStruct::L1Tlb2M ? l1Page2M_.get()
+            : s == ProvStruct::L1Tlb1G ? l1Page1G_.get()
+                                       : nullptr;
+        const Metered &m = meters_[idx(s)];
+        if (!m.present || !enabled)
+            continue;
+        // Gated leakage counts the active ways only (disabled ways are
+        // power-gated, §6.2); full leakage counts every way.
+        const std::size_t lw = !gated     ? m.coeffByLogWays.size() - 1
+                               : resizable ? logWaysOf(*resizable)
+                                           : 0;
+        total += m.coeffByLogWays[lw].leakage;
+    }
     return total;
 }
 
@@ -1264,40 +1289,18 @@ Mmu::registerMetrics(obs::MetricRegistry &registry,
     registry.addGauge(name("energy.coherence_pj"),
                       [this] { return stats_.cohEnergyPj; });
 
-    auto addMeter = [&registry](std::string prefix,
-                                const energy::EnergyMeter *m) {
-        registry.addCounter(prefix + ".reads", [m] { return m->reads(); });
-        registry.addCounter(prefix + ".writes",
-                            [m] { return m->writes(); });
-        registry.addGauge(prefix + ".read_pj",
-                          [m] { return m->readEnergy(); });
-        registry.addGauge(prefix + ".write_pj",
-                          [m] { return m->writeEnergy(); });
-    };
-    addMeter(name("energy.l1_tlb4k"), &m4K_.meter);
-    if (l1Page2M_) {
-        addMeter(name("energy.l1_tlb2m"), &m2M_.meter);
-        addMeter(name("energy.l1_tlb1g"), &m1G_.meter);
+    // Per-structure meters, in ProvStruct order.
+    for (const Metered &m : meters_) {
+        if (!m.present)
+            continue;
+        const std::string p = name("energy.") + m.token;
+        const energy::EnergyMeter *e = &m.meter;
+        registry.addCounter(p + ".reads", [e] { return e->reads(); });
+        registry.addCounter(p + ".writes", [e] { return e->writes(); });
+        registry.addGauge(p + ".read_pj", [e] { return e->readEnergy(); });
+        registry.addGauge(p + ".write_pj",
+                          [e] { return e->writeEnergy(); });
     }
-    addMeter(name("energy.l2_tlb"), &mL2_.meter);
-    if (l1Range_)
-        addMeter(name("energy.l1_range"), &mL1Range_.meter);
-    if (l2Range_)
-        addMeter(name("energy.l2_range"), &mL2Range_.meter);
-    addMeter(name("energy.mmu_pde"), &mPde_.meter);
-    addMeter(name("energy.mmu_pdpte"), &mPdpte_.meter);
-    addMeter(name("energy.mmu_pml4"), &mPml4_.meter);
-    addMeter(name("energy.walk_mem"), &walkMemMeter_);
-    if (rangeWalker_)
-        addMeter(name("energy.range_walk_mem"), &rangeWalkMemMeter_);
-    if (nestedWalker_) {
-        addMeter(name("energy.host_pwc"), &mHostPwc_.meter);
-        addMeter(name("energy.host_walk_mem"), &hostWalkMemMeter_);
-    }
-    if (l3Cache_)
-        addMeter(name("energy.l3_tlb"), &mL3_.meter);
-    if (l3Dram_)
-        addMeter(name("energy.dram_tlb"), &mDram_.meter);
 
     if (lite_)
         lite_->registerMetrics(registry, prefix);
@@ -1345,16 +1348,13 @@ PicoJoules
 Mmu::dynamicEnergyTotal() const
 {
     // Summation order == ProvStruct enum order (reconciliation replays
-    // this exact IEEE addition sequence); host and L3 meters append
-    // last and read 0.0 in flat / identity-host / --l3=none runs, so
-    // adding them is bit-identical to the pre-L3 sum there.
-    return m4K_.meter.total() + m2M_.meter.total() + m1G_.meter.total() +
-           mL2_.meter.total() + mL1Range_.meter.total() +
-           mL2Range_.meter.total() + mPde_.meter.total() +
-           mPdpte_.meter.total() + mPml4_.meter.total() +
-           walkMemMeter_.total() + rangeWalkMemMeter_.total() +
-           mHostPwc_.meter.total() + hostWalkMemMeter_.total() +
-           mL3_.meter.total() + mDram_.meter.total();
+    // this exact IEEE addition sequence); host and L3 meters come last
+    // and read 0.0 in flat / identity-host / --l3=none runs, so adding
+    // them is bit-identical to the pre-L3 sum there.
+    PicoJoules total = 0.0;
+    for (const Metered &m : meters_)
+        total += m.meter.total();
+    return total;
 }
 
 void
@@ -1441,61 +1441,32 @@ Mmu::emitIntervalRecord(InstrCount intervalInstructions)
 energy::EnergyReport
 Mmu::energyReport() const
 {
+    // Report order: enum order, except that L1Range precedes L2Tlb. It
+    // exists only to keep each category's IEEE sum and the digests' row
+    // order bit-identical. A row appears only when its meter was
+    // touched, so untouched meters leave the report (hence the digest)
+    // unchanged; adding their 0.0 to the category changes nothing.
+    static constexpr std::array kReportOrder{
+        ProvStruct::L1Tlb4K,      ProvStruct::L1Tlb2M,
+        ProvStruct::L1Tlb1G,      ProvStruct::L1Range,
+        ProvStruct::L2Tlb,        ProvStruct::L2Range,
+        ProvStruct::PwcPde,       ProvStruct::PwcPdpte,
+        ProvStruct::PwcPml4,      ProvStruct::WalkMem,
+        ProvStruct::RangeWalkMem, ProvStruct::HostPwc,
+        ProvStruct::HostWalkMem,  ProvStruct::L3Tlb,
+        ProvStruct::DramTlb};
+    static_assert(kReportOrder.size() == obs::kProvMeteredStructs);
+
     energy::EnergyReport report;
-    auto addStruct = [&report](const std::string &name, const Metered &m,
-                               PicoJoules &category) {
-        if (m.meter.reads() == 0 && m.meter.writes() == 0)
-            return;
-        category += m.meter.total();
-        report.structs.push_back({name, m.meter.reads(), m.meter.writes(),
-                                  m.meter.readEnergy(),
-                                  m.meter.writeEnergy(), m.id});
-    };
-
-    auto &b = report.breakdown;
-    addStruct(l1Page4K_->name(), m4K_, b.l1Tlb);
-    if (l1Page2M_)
-        addStruct(l1Page2M_->name(), m2M_, b.l1Tlb);
-    if (l1Page1G_)
-        addStruct(l1Page1G_->name(), m1G_, b.l1Tlb);
-    if (l1Range_)
-        addStruct(l1Range_->name(), mL1Range_, b.l1Tlb);
-    addStruct(l2Page_->name(), mL2_, b.l2Tlb);
-    if (l2Range_)
-        addStruct(l2Range_->name(), mL2Range_, b.l2Tlb);
-    addStruct("MMU-cache-PDE", mPde_, b.mmuCache);
-    addStruct("MMU-cache-PDPTE", mPdpte_, b.mmuCache);
-    addStruct("MMU-cache-PML4", mPml4_, b.mmuCache);
-
-    // The walk-style meters share one row shape: read-only references
-    // whose row appears only when the meter was touched, so untouched
-    // meters leave the report — hence the digest — unchanged. (The
-    // category starts at 0.0 and every addend is >= 0, so += matches
-    // the old direct assignment bit for bit.)
-    auto addMemMeter = [&report](const std::string &name,
-                                 const energy::EnergyMeter &m,
-                                 obs::ProvStruct id, PicoJoules &category) {
-        category += m.total();
-        if (m.reads() == 0)
-            return;
-        report.structs.push_back(
-            {name, m.reads(), 0, m.readEnergy(), 0.0, id});
-    };
-
-    addMemMeter("page-walk memory", walkMemMeter_, obs::ProvStruct::WalkMem,
-                b.pageWalkMem);
-    addMemMeter("range-walk memory", rangeWalkMemMeter_,
-                obs::ProvStruct::RangeWalkMem, b.rangeWalkMem);
-
-    // Host (nested-paging) dimension: zero reads in flat and
-    // identity-host runs, so the rows are skipped there.
-    addStruct("host-PWC", mHostPwc_, b.mmuCache);
-    addMemMeter("host-walk memory", hostWalkMemMeter_,
-                obs::ProvStruct::HostWalkMem, b.hostWalkMem);
-
-    // L3 translation tier (rows appear only when a tier ran).
-    addStruct("L3-cache TLB", mL3_, b.l3Tlb);
-    addStruct("DRAM TLB", mDram_, b.l3Tlb);
+    for (const ProvStruct s : kReportOrder) {
+        const Metered &m = meters_[idx(s)];
+        const energy::EnergyMeter &e = m.meter;
+        report.breakdown.*m.category += e.total();
+        if (e.reads() == 0 && e.writes() == 0)
+            continue;
+        report.structs.push_back({m.name, e.reads(), e.writes(),
+                                  e.readEnergy(), e.writeEnergy(), s});
+    }
 
     // Leakage of the currently active configuration and the static
     // energy integrals (companion metrics; the headline results are

@@ -252,8 +252,6 @@ class Mmu
         frontEnabled_ = frontAllowed_ && on;
     }
 
-    bool frontCacheEnabled() const { return frontEnabled_; }
-
     /** Accesses served by the front cache. Deliberately NOT a
      *  simulated statistic: it lives outside MmuStats, metrics,
      *  telemetry, and digests (the hit rate is a simulator-performance
@@ -267,41 +265,51 @@ class Mmu
     tlb::SetAssocTlb &l2Tlb() { return *l2Page_; }
     tlb::RangeTlb *l1RangeTlb() { return l1Range_.get(); }
     tlb::RangeTlb *l2RangeTlb() { return l2Range_.get(); }
-    tlb::MmuCache &mmuCache() { return mmuCache_; }
-    tlb::MmuCache *hostPwc() { return hostPwc_.get(); }
-    const vm::HostTable *hostTable() const { return hostTable_.get(); }
-    l3::CacheTlb *l3CacheTlb() { return l3Cache_.get(); }
-    l3::DramTlb *l3DramTlb() { return l3Dram_.get(); }
 
     bool l1Tlb2MEnabled() const { return enabled2M_; }
     bool l1RangeEnabled() const { return enabledL1Range_; }
     bool l2RangeEnabled() const { return enabledL2Range_; }
 
   private:
-    /** A structure's energy meter plus its (resizable) coefficients. */
+    /**
+     * One row of the meter table: every per-structure energy fact,
+     * set once by the constructor. Rows are indexed by obs::ProvStruct.
+     */
     struct Metered
     {
         energy::EnergyMeter meter;
-        /** Read/write coefficients indexed by log2(active ways); fixed
-         *  structures use index 0 only. */
+        /** Read/write/leakage coefficients indexed by log2(active
+         *  ways); fixed structures use index 0 only, and the walk
+         *  meters (charged walkRefEnergy_ per reference) have none. */
         std::vector<energy::EnergyCoefficients> coeffByLogWays;
-        MilliWatts fullLeakage = 0.0;
-        obs::ProvStruct id = obs::ProvStruct::None;
+        /** The structure exists in this organization. */
+        bool present = false;
+        /** Report row name; varies by organization ("L1-mixed TLB"). */
+        std::string name;
+        /** Metric token: energy.<token>.{reads,writes,read_pj,write_pj}. */
+        const char *token = "";
+        /** The Figure 2/10 category this structure's energy lands in. */
+        PicoJoules energy::EnergyBreakdown::*category = nullptr;
     };
 
-    void chargeRead(Metered &m, unsigned logWays = 0, bool hit = false);
-    void chargeWrite(Metered &m, unsigned logWays = 0,
+    void chargeRead(obs::ProvStruct s, unsigned logWays = 0,
+                    bool hit = false);
+    void chargeWrite(obs::ProvStruct s, unsigned logWays = 0,
                      unsigned psShift = 0);
-    void chargeWalkMemory(unsigned refs, bool rangeWalk,
-                          unsigned leafLevel = 0);
+
+    /** Charge @p refs walk memory references to walk meter @p s, one
+     *  provenance event each. Radix walks fetch top-down from level
+     *  leafLevel + refs - 1; range walks report level 0. */
+    void chargeWalkRefs(obs::ProvStruct s, unsigned refs,
+                        unsigned leafLevel);
 
     /** Charge the host dimension of one nested walk: host-PWC probe
      *  and fills per host walk, plus every host-walk memory reference
-     *  (hostWalkMemMeter_ + HostWalkMem provenance + cycles). */
+     *  (HostWalkMem meter + provenance + cycles). */
     void chargeNestedWalk(const vm::NestedWalkResult &walk);
 
     /** Provenance: record that a fill displaced a live entry. */
-    void provEvict(const Metered &m, bool evicted);
+    void provEvict(obs::ProvStruct s, bool evicted);
 
     /** Provenance: close the translation opened at access() entry. */
     void provEnd(std::string_view source, unsigned psShift, bool l1Hit);
@@ -407,22 +415,14 @@ class Mmu
     bool enabledL1Range_ = false;
     bool enabledL2Range_ = false;
 
-    // Energy meters.
-    Metered m4K_, m2M_, m1G_, mL2_, mL1Range_, mL2Range_;
-    Metered mPde_, mPdpte_, mPml4_;
-    energy::EnergyMeter walkMemMeter_;
-    energy::EnergyMeter rangeWalkMemMeter_;
-    /** Host dimension: one lumped host-PWC meter (reads == host walks)
-     *  and the host-walk memory-reference meter. Both stay untouched
-     *  in flat and identity-host runs. */
-    Metered mHostPwc_;
-    energy::EnergyMeter hostWalkMemMeter_;
-    /** L3 tier meters. mL3_ (cache mode) has one coefficient slot: the
-     *  full-LLC access. mDram_ (dram mode) has two: index 0 the SRAM
-     *  tag cache, index 1 the DRAM array — chargeRead/chargeWrite's
-     *  logWays argument selects the stage, so provenance reconciles
-     *  through the standard path. */
-    Metered mL3_, mDram_;
+    /**
+     * The meter table, one row per obs::ProvStruct. The host rows stay
+     * untouched in flat and identity-host runs, the L3 rows in
+     * --l3=none runs. The L3Tlb row has one coefficient slot (the
+     * full-LLC access); DramTlb has two, index 0 the SRAM tag cache and
+     * index 1 the DRAM array, selected through the logWays argument.
+     */
+    std::array<Metered, obs::kProvMeteredStructs> meters_;
     PicoJoules walkRefEnergy_ = 0.0; ///< blended L1/L2 cache read energy
 
     MmuStats stats_;

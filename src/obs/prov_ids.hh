@@ -19,10 +19,14 @@ namespace eat::obs
 /**
  * Every energy-bearing structure of the translation datapath.
  *
- * The first fifteen ids are listed in the exact order
- * core::Mmu::dynamicEnergyTotal() sums its meters; reconciliation
- * reproduces that sum by adding per-structure totals in this enum
- * order, which keeps the IEEE-double result bit-identical.
+ * The first kProvMeteredStructs ids index core::Mmu's meter table, one
+ * row per structure; a new metered structure is one entry here plus
+ * one table row. Enum order is the order core::Mmu::dynamicEnergyTotal()
+ * sums the meters, and reconciliation reproduces that sum by adding
+ * per-structure totals in the same order, which keeps the IEEE-double
+ * result bit-identical. Add new structures just before Shootdown: their
+ * meters read 0.0 in runs that do not use them, so existing sums stay
+ * bit-identical.
  */
 enum class ProvStruct : std::uint8_t
 {
