@@ -12,12 +12,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/batch.hh"
+#include "sim/machine_flags.hh"
 
 namespace eat::sim
 {
@@ -397,6 +399,58 @@ TEST_F(BatchTest, HeaderMatchesRowWidth)
         return std::count(s.begin(), s.end(), ',');
     };
     EXPECT_EQ(count(lines[0]), count(lines[1]));
+}
+
+// --- the machine flags eatsim and eatbatch share ---------------------
+
+Result<Machine>
+machineFrom(std::initializer_list<const char *> args, bool multicore)
+{
+    MachineFlags flags;
+    for (const char *arg : args)
+        EXPECT_TRUE(flags.consume(arg)) << arg;
+    return validateMachineFlags(flags, multicore);
+}
+
+TEST(MachineFlags, ConsumesOnlyMachineFlags)
+{
+    MachineFlags flags;
+    EXPECT_FALSE(flags.consume("--cores=2"));
+    EXPECT_FALSE(flags.consume("--vmx"));
+    EXPECT_FALSE(flags.consume("--l3x=cache"));
+    EXPECT_TRUE(flags.consume("--l3-policy=promote"));
+    EXPECT_EQ(flags.l3Policy, "promote");
+    EXPECT_TRUE(flags.l3.empty());
+}
+
+TEST(MachineFlags, BuildsTheRequestedMachine)
+{
+    const auto plain = machineFrom({}, false);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_FALSE(plain.value().vmEnabled);
+    EXPECT_EQ(plain.value().l3Mode, l3::L3Mode::None);
+
+    const auto bare = machineFrom({"--vm"}, false);
+    ASSERT_TRUE(bare.ok());
+    EXPECT_TRUE(bare.value().vmEnabled);
+    EXPECT_FALSE(bare.value().vmIdentityHost);
+
+    const auto full = machineFrom(
+        {"--vm=identity", "--host-pages=2m", "--l3=cache",
+         "--l3-policy=promote", "--l3-promote-streak=3", "--coherence=hw"},
+        true);
+    ASSERT_TRUE(full.ok()) << full.status().message();
+    const Machine &m = full.value();
+    EXPECT_TRUE(m.vmIdentityHost);
+    EXPECT_EQ(m.hostPageSize, vm::PageSize::Size2M);
+    EXPECT_EQ(m.l3Mode, l3::L3Mode::Cache);
+    EXPECT_EQ(m.l3Policy, l3::L3InsertPolicy::PtePromote);
+    EXPECT_EQ(m.l3PromoteStreak, 3u);
+    EXPECT_EQ(m.coherence, mc::McConfig::CoherenceMode::Hw);
+
+    // The orphan rules are pinned through both tools by test_cli.cc;
+    // an empty streak is a parse error, not an absent flag.
+    EXPECT_FALSE(machineFrom({"--l3-promote-streak="}, false).ok());
 }
 
 } // namespace

@@ -46,8 +46,8 @@
 #include "campaign/retry.hh"
 #include "mc/mix.hh"
 #include "sim/batch.hh"
+#include "sim/machine_flags.hh"
 #include "stats/table.hh"
-#include "vm/host_table.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -144,14 +144,7 @@ main(int argc, char **argv)
     sim::BatchOptions options;
     options.jobs = 0; // auto: one child per hardware thread
     std::string workloadsArg, orgsArg;
-    bool haveVm = false;
-    bool haveCoherence = false;
-    std::string vmModeName;
-    std::string hostPagesName;
-    std::string l3ModeName;
-    std::string l3PolicyName;
-    std::uint64_t l3PromoteStreak = 0;
-    bool haveL3Streak = false;
+    sim::MachineFlags machineFlags;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -257,31 +250,8 @@ main(int argc, char **argv)
         } else if (const char *v17 = value("--remap-interval=")) {
             options.mcRemapInterval =
                 parseCount("--remap-interval", v17);
-        } else if (const char *vcoh = value("--coherence=")) {
-            const auto mode = mc::coherenceModeFromName(vcoh);
-            if (!mode.ok()) {
-                std::fprintf(stderr, "--coherence: %s\n",
-                             std::string(mode.status().message())
-                                 .c_str());
-                return 2;
-            }
-            options.coherence = mode.value();
-            haveCoherence = true;
-        } else if (arg == "--vm") {
-            haveVm = true;
-            vmModeName = "paged";
-        } else if (const char *vvm = value("--vm=")) {
-            haveVm = true;
-            vmModeName = vvm;
-        } else if (const char *vhp = value("--host-pages=")) {
-            hostPagesName = vhp;
-        } else if (const char *vl3 = value("--l3=")) {
-            l3ModeName = vl3;
-        } else if (const char *vl3p = value("--l3-policy=")) {
-            l3PolicyName = vl3p;
-        } else if (const char *vl3s = value("--l3-promote-streak=")) {
-            l3PromoteStreak = parseCount("--l3-promote-streak", vl3s);
-            haveL3Streak = true;
+        } else if (machineFlags.consume(arg)) {
+            // validated as a whole after the loop
         } else if (arg == "--shared") {
             options.mcShared = true;
         } else if (arg == "--ctx-flush") {
@@ -296,69 +266,20 @@ main(int argc, char **argv)
     }
     if (options.outPath.empty())
         usage(argv[0]);
-    if (haveCoherence && !options.multicore()) {
-        std::fprintf(stderr, "--coherence requires --cores/--mix\n");
+    const auto validated =
+        sim::validateMachineFlags(machineFlags, options.multicore());
+    if (!validated.ok()) {
+        std::fprintf(stderr, "%s\n", validated.status().message().c_str());
         return 2;
     }
-    if (haveVm) {
-        const auto mode = vm::hostModeFromName(vmModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--vm: %s\n",
-                         std::string(mode.status().message()).c_str());
-            return 2;
-        }
-        options.vmEnabled = true;
-        options.vmIdentityHost = mode.value() == vm::HostMode::Identity;
-    }
-    if (!hostPagesName.empty()) {
-        if (!haveVm) {
-            std::fprintf(stderr, "--host-pages requires --vm\n");
-            return 2;
-        }
-        const auto size = vm::hostPageSizeFromName(hostPagesName);
-        if (!size.ok()) {
-            std::fprintf(stderr, "--host-pages: %s\n",
-                         std::string(size.status().message()).c_str());
-            return 2;
-        }
-        options.hostPageSize = size.value();
-    }
-    if (!l3ModeName.empty()) {
-        const auto mode = l3::l3ModeFromName(l3ModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--l3: %s\n",
-                         std::string(mode.status().message()).c_str());
-            return 2;
-        }
-        options.l3Mode = mode.value();
-    }
-    if (!l3PolicyName.empty()) {
-        if (options.l3Mode != l3::L3Mode::Cache) {
-            std::fprintf(stderr, "--l3-policy requires --l3=cache\n");
-            return 2;
-        }
-        const auto policy = l3::l3InsertPolicyFromName(l3PolicyName);
-        if (!policy.ok()) {
-            std::fprintf(stderr, "--l3-policy: %s\n",
-                         std::string(policy.status().message()).c_str());
-            return 2;
-        }
-        options.l3Policy = policy.value();
-    }
-    if (haveL3Streak) {
-        if (options.l3Policy != l3::L3InsertPolicy::PtePromote) {
-            std::fprintf(stderr, "--l3-promote-streak requires "
-                                 "--l3-policy=promote\n");
-            return 2;
-        }
-        if (l3PromoteStreak == 0) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak: must be positive\n");
-            return 2;
-        }
-        options.l3PromoteStreak =
-            static_cast<unsigned>(l3PromoteStreak);
-    }
+    const sim::Machine &machine = validated.value();
+    options.coherence = machine.coherence;
+    options.vmEnabled = machine.vmEnabled;
+    options.vmIdentityHost = machine.vmIdentityHost;
+    options.hostPageSize = machine.hostPageSize;
+    options.l3Mode = machine.l3Mode;
+    options.l3Policy = machine.l3Policy;
+    options.l3PromoteStreak = machine.l3PromoteStreak;
 
     if (workloadsArg.empty()) {
         for (const auto &w : workloads::tlbIntensiveSuite())

@@ -34,9 +34,9 @@
 #include "l3/l3_config.hh"
 #include "mc/mc_simulator.hh"
 #include "mc/mix.hh"
+#include "sim/machine_flags.hh"
 #include "sim/simulator.hh"
 #include "stats/table.hh"
-#include "vm/host_table.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -442,14 +442,7 @@ main(int argc, char **argv)
     std::uint64_t quantum = 100'000;
     std::uint64_t remapInterval = 0;
     std::uint64_t faultCore = 0;
-    bool haveVm = false;
-    std::string vmModeName;
-    std::string hostPagesName;
-    std::string coherenceName;
-    std::string l3ModeName;
-    std::string l3PolicyName;
-    std::uint64_t l3PromoteStreak = 0;
-    bool haveL3Streak = false;
+    sim::MachineFlags machineFlags;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&arg](const char *prefix) -> const char * {
@@ -554,23 +547,8 @@ main(int argc, char **argv)
             remapInterval = parseCount("--remap-interval", v17);
         } else if (const char *v18 = value("--fault-core=")) {
             faultCore = parseCount("--fault-core", v18);
-        } else if (arg == "--vm") {
-            haveVm = true;
-            vmModeName = "paged";
-        } else if (const char *vvm = value("--vm=")) {
-            haveVm = true;
-            vmModeName = vvm;
-        } else if (const char *vhp = value("--host-pages=")) {
-            hostPagesName = vhp;
-        } else if (const char *vcoh = value("--coherence=")) {
-            coherenceName = vcoh;
-        } else if (const char *vl3 = value("--l3=")) {
-            l3ModeName = vl3;
-        } else if (const char *vl3p = value("--l3-policy=")) {
-            l3PolicyName = vl3p;
-        } else if (const char *vl3s = value("--l3-promote-streak=")) {
-            l3PromoteStreak = parseCount("--l3-promote-streak", vl3s);
-            haveL3Streak = true;
+        } else if (machineFlags.consume(arg)) {
+            // validated as a whole after the loop
         } else if (arg == "--shared") {
             shared = true;
         } else if (arg == "--ctx-flush") {
@@ -590,87 +568,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    vm::HostMode hostMode = vm::HostMode::Paged;
-    if (haveVm) {
-        const auto mode = vm::hostModeFromName(vmModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--vm: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        hostMode = mode.value();
+    const auto validated = sim::validateMachineFlags(machineFlags, multicore);
+    if (!validated.ok()) {
+        std::fprintf(stderr, "%s\n", validated.status().message().c_str());
+        return 2;
     }
-    vm::PageSize hostPageSize = vm::PageSize::Size4K;
-    if (!hostPagesName.empty()) {
-        if (!haveVm) {
-            std::fprintf(stderr, "--host-pages requires --vm\n");
-            return 2;
-        }
-        const auto size = vm::hostPageSizeFromName(hostPagesName);
-        if (!size.ok()) {
-            std::fprintf(stderr, "--host-pages: %s\n",
-                         size.status().message().c_str());
-            return 2;
-        }
-        hostPageSize = size.value();
-    }
-    // Orphaned L3 tuning flags describe nothing: reject them rather
-    // than silently run a different machine than the user asked for.
-    l3::L3Mode l3Mode = l3::L3Mode::None;
-    if (!l3ModeName.empty()) {
-        const auto mode = l3::l3ModeFromName(l3ModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--l3: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        l3Mode = mode.value();
-    }
-    l3::L3InsertPolicy l3Policy = l3::L3InsertPolicy::WalkFill;
-    if (!l3PolicyName.empty()) {
-        if (l3Mode != l3::L3Mode::Cache) {
-            std::fprintf(stderr,
-                         "--l3-policy requires --l3=cache\n");
-            return 2;
-        }
-        const auto policy = l3::l3InsertPolicyFromName(l3PolicyName);
-        if (!policy.ok()) {
-            std::fprintf(stderr, "--l3-policy: %s\n",
-                         policy.status().message().c_str());
-            return 2;
-        }
-        l3Policy = policy.value();
-    }
-    if (haveL3Streak) {
-        if (l3Policy != l3::L3InsertPolicy::PtePromote) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak requires "
-                         "--l3-policy=promote\n");
-            return 2;
-        }
-        if (l3PromoteStreak == 0) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak: must be positive\n");
-            return 2;
-        }
-    }
-
-    mc::McConfig::CoherenceMode coherence =
-        mc::McConfig::CoherenceMode::Ipi;
-    if (!coherenceName.empty()) {
-        const auto mode = mc::coherenceModeFromName(coherenceName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--coherence: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        coherence = mode.value();
-        if (!multicore) {
-            std::fprintf(stderr,
-                         "--coherence requires --cores/--mix\n");
-            return 2;
-        }
-    }
+    const sim::Machine &machine = validated.value();
 
     if (workloadName.empty()) {
         cfg.workload = mixSpecs.front();
@@ -686,18 +589,16 @@ main(int argc, char **argv)
     }
     cfg.mmu = core::MmuConfig::make(parseOrg(orgName));
     cfg.mmu.combinedFullyAssocL1 = combined;
-    if (haveVm) {
+    if (machine.vmEnabled) {
         cfg.mmu.vmEnabled = true;
-        cfg.mmu.vmIdentityHost = hostMode == vm::HostMode::Identity;
-        cfg.mmu.hostPageSize = hostPageSize;
+        cfg.mmu.vmIdentityHost = machine.vmIdentityHost;
+        cfg.mmu.hostPageSize = machine.hostPageSize;
     }
-    if (l3Mode != l3::L3Mode::None) {
-        cfg.mmu.l3Cache.policy = l3Policy;
-        if (haveL3Streak) {
-            cfg.mmu.l3Cache.promoteStreak =
-                static_cast<unsigned>(l3PromoteStreak);
-        }
-        cfg.mmu.enableL3(l3Mode);
+    if (machine.l3Mode != l3::L3Mode::None) {
+        cfg.mmu.l3Cache.policy = machine.l3Policy;
+        if (machine.l3PromoteStreak > 0)
+            cfg.mmu.l3Cache.promoteStreak = machine.l3PromoteStreak;
+        cfg.mmu.enableL3(machine.l3Mode);
     }
 
     if (multicore) {
@@ -731,7 +632,7 @@ main(int argc, char **argv)
             mcc.quantumInstructions = quantum;
             mcc.remapInterval = remapInterval;
             mcc.faultCore = static_cast<unsigned>(faultCore);
-            mcc.coherence = coherence;
+            mcc.coherence = machine.coherence;
 
             const auto result = mc::mcSimulate(mcc);
             printMcReport(result);
