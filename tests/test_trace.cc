@@ -23,7 +23,13 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "eat_trace_test.bin";
+        // One file per test: ctest runs the tests of this fixture as
+        // parallel processes, and a shared path makes them race.
+        path_ = ::testing::TempDir() + "eat_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bin";
     }
 
     void
