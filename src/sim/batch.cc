@@ -126,29 +126,6 @@ executeRun(const SimConfig &cfg, bool deliberateFail, bool deliberateHang,
     return out;
 }
 
-/** Layer the sweep's nested-paging knobs onto one cell's MmuConfig. */
-void
-applyVm(const BatchOptions &options, core::MmuConfig &mmu)
-{
-    if (!options.vmEnabled)
-        return;
-    mmu.vmEnabled = true;
-    mmu.vmIdentityHost = options.vmIdentityHost;
-    mmu.hostPageSize = options.hostPageSize;
-}
-
-/** Layer the sweep's L3-tier knobs onto one cell's MmuConfig. */
-void
-applyL3(const BatchOptions &options, core::MmuConfig &mmu)
-{
-    if (options.l3Mode == l3::L3Mode::None)
-        return;
-    mmu.l3Cache.policy = options.l3Policy;
-    if (options.l3PromoteStreak > 0)
-        mmu.l3Cache.promoteStreak = options.l3PromoteStreak;
-    mmu.enableL3(options.l3Mode);
-}
-
 /** The multicore counterpart: one mix under one organization. */
 RunOutcome
 executeMcRun(const mc::McConfig &cfg, bool deliberateFail)
@@ -288,6 +265,7 @@ sweepFingerprint(const BatchOptions &options,
     for (const auto &row : rows)
         os << "|" << row.workload << ":" << row.org;
     const SimConfig &b = options.base;
+    const Machine &m = options.machine;
     os << "|ff=" << b.fastForwardInstructions
        << "|sim=" << b.simulateInstructions << "|seed=" << b.seed
        << "|phys=" << b.physBytes
@@ -298,16 +276,15 @@ sweepFingerprint(const BatchOptions &options,
         os << "|mc=" << options.cores << "," << options.mcShared << ","
            << options.mcCtxFlush << "," << options.mcQuantum << ","
            << options.mcRemapInterval << ",coh="
-           << mc::coherenceModeName(options.coherence);
+           << mc::coherenceModeName(m.coherence);
     }
-    if (options.vmEnabled) {
-        os << "|vm=" << (options.vmIdentityHost ? "identity" : "paged")
-           << "," << vm::hostPageSizeName(options.hostPageSize);
+    if (m.vmEnabled) {
+        os << "|vm=" << (m.vmIdentityHost ? "identity" : "paged") << ","
+           << vm::hostPageSizeName(m.hostPageSize);
     }
-    if (options.l3Mode != l3::L3Mode::None) {
-        os << "|l3=" << l3::l3ModeName(options.l3Mode) << ","
-           << l3::l3InsertPolicyName(options.l3Policy) << ","
-           << options.l3PromoteStreak;
+    if (m.l3Mode != l3::L3Mode::None) {
+        os << "|l3=" << l3::l3ModeName(m.l3Mode) << ","
+           << l3::l3InsertPolicyName(m.l3Policy) << "," << m.l3PromoteStreak;
     }
     return os.str();
 }
@@ -655,15 +632,14 @@ runBatch(const BatchOptions &options, std::ostream &log)
             mcc.base = options.base;
             mcc.base.workload = mix.front();
             mcc.base.mmu = core::MmuConfig::make(cells[index].org);
-            applyVm(options, mcc.base.mmu);
-            applyL3(options, mcc.base.mmu);
+            options.machine.applyTo(mcc.base.mmu);
             mcc.cores = options.cores;
             mcc.mix = mix;
             mcc.sharedAddressSpace = options.mcShared;
             mcc.ctxFlush = options.mcCtxFlush;
             mcc.quantumInstructions = options.mcQuantum;
             mcc.remapInterval = options.mcRemapInterval;
-            mcc.coherence = options.coherence;
+            mcc.coherence = options.machine.coherence;
             if (!options.telemetryDir.empty()) {
                 mcc.base.telemetryPath = options.telemetryDir + "/" +
                                          fileLabel + "_" + row.org +
@@ -677,8 +653,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
         SimConfig cfg = options.base;
         cfg.workload = *cells[index].spec;
         cfg.mmu = core::MmuConfig::make(cells[index].org);
-        applyVm(options, cfg.mmu);
-        applyL3(options, cfg.mmu);
+        options.machine.applyTo(cfg.mmu);
         if (!options.telemetryDir.empty()) {
             cfg.telemetryPath = options.telemetryDir + "/" +
                                 fileLabel + "_" + row.org + ".jsonl";

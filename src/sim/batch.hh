@@ -34,6 +34,7 @@
 #include "base/status.hh"
 #include "l3/l3_config.hh"
 #include "mc/mc_simulator.hh"
+#include "sim/machine_flags.hh"
 #include "sim/simulator.hh"
 
 namespace eat::sim
@@ -151,28 +152,15 @@ struct BatchOptions
     std::uint64_t mcQuantum = 100'000;
     std::uint64_t mcRemapInterval = 0;
 
-    /** Remap-invalidation cost model of every mc cell. */
-    mc::McConfig::CoherenceMode coherence =
-        mc::McConfig::CoherenceMode::Ipi;
-
     /**
-     * Nested paging for every cell. The org-derived MmuConfig of each
-     * cell gets these applied on top, so a vm sweep compares
-     * organizations under the same host table.
+     * The machine of every cell: nested paging and the L3 tier are
+     * applied on top of each cell's org-derived MmuConfig, so a sweep
+     * compares organizations under the same host table and tier, and
+     * the coherence model is that of every mc cell. All of it enters
+     * the sweep fingerprint, so --resume refuses to splice rows from a
+     * sweep that ran a different machine.
      */
-    bool vmEnabled = false;
-    bool vmIdentityHost = false;
-    vm::PageSize hostPageSize = vm::PageSize::Size4K;
-
-    /**
-     * L3 translation tier for every cell, layered onto the org-derived
-     * MmuConfig like the vm knobs above. The tier's identity enters the
-     * sweep fingerprint, so --resume refuses to splice rows from a
-     * sweep that ran a different tier.
-     */
-    l3::L3Mode l3Mode = l3::L3Mode::None;
-    l3::L3InsertPolicy l3Policy = l3::L3InsertPolicy::WalkFill;
-    unsigned l3PromoteStreak = 0; ///< 0 keeps the config default
+    Machine machine;
 
     bool multicore() const { return cores > 1 || !mix.empty(); }
 };

@@ -30,6 +30,22 @@ MachineFlags::consume(std::string_view arg)
            take("--coherence=", coherence);
 }
 
+void
+Machine::applyTo(core::MmuConfig &mmu) const
+{
+    if (vmEnabled) {
+        mmu.vmEnabled = true;
+        mmu.vmIdentityHost = vmIdentityHost;
+        mmu.hostPageSize = hostPageSize;
+    }
+    if (l3Mode != l3::L3Mode::None) {
+        mmu.l3Cache.policy = l3Policy;
+        if (l3PromoteStreak > 0)
+            mmu.l3Cache.promoteStreak = l3PromoteStreak;
+        mmu.enableL3(l3Mode);
+    }
+}
+
 Result<Machine>
 validateMachineFlags(const MachineFlags &flags, bool multicore)
 {

@@ -42,6 +42,9 @@ struct MachineFlags
 /** A validated machine: the knobs layered onto an org's MmuConfig. */
 struct Machine
 {
+    /** Layer the nested-paging and L3-tier knobs onto @p mmu. */
+    void applyTo(core::MmuConfig &mmu) const;
+
     bool vmEnabled = false;
     bool vmIdentityHost = false;
     vm::PageSize hostPageSize = vm::PageSize::Size4K;

@@ -272,14 +272,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", validated.status().message().c_str());
         return 2;
     }
-    const sim::Machine &machine = validated.value();
-    options.coherence = machine.coherence;
-    options.vmEnabled = machine.vmEnabled;
-    options.vmIdentityHost = machine.vmIdentityHost;
-    options.hostPageSize = machine.hostPageSize;
-    options.l3Mode = machine.l3Mode;
-    options.l3Policy = machine.l3Policy;
-    options.l3PromoteStreak = machine.l3PromoteStreak;
+    options.machine = validated.value();
 
     if (workloadsArg.empty()) {
         for (const auto &w : workloads::tlbIntensiveSuite())

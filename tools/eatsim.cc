@@ -589,17 +589,7 @@ main(int argc, char **argv)
     }
     cfg.mmu = core::MmuConfig::make(parseOrg(orgName));
     cfg.mmu.combinedFullyAssocL1 = combined;
-    if (machine.vmEnabled) {
-        cfg.mmu.vmEnabled = true;
-        cfg.mmu.vmIdentityHost = machine.vmIdentityHost;
-        cfg.mmu.hostPageSize = machine.hostPageSize;
-    }
-    if (machine.l3Mode != l3::L3Mode::None) {
-        cfg.mmu.l3Cache.policy = machine.l3Policy;
-        if (machine.l3PromoteStreak > 0)
-            cfg.mmu.l3Cache.promoteStreak = machine.l3PromoteStreak;
-        cfg.mmu.enableL3(machine.l3Mode);
-    }
+    machine.applyTo(cfg.mmu);
 
     if (multicore) {
         if (!recordPath.empty() || !replayPath.empty()) {
