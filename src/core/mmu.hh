@@ -169,10 +169,6 @@ class Mmu
      *  (the hw-mode analogue of a received shootdown IPI). */
     void receiveCoherenceInvalidation() { ++stats_.cohInvalidationsReceived; }
 
-    /** The ASID tagging this core's fills and lookups. */
-    tlb::Asid asid() const { return asid_; }
-
-    const MmuConfig &config() const { return cfg_; }
     const MmuStats &stats() const { return stats_; }
 
     /** Full energy report (Table-3 model; Figure 2/10 breakdown). */
@@ -204,8 +200,8 @@ class Mmu
 
     /**
      * Attach a per-interval telemetry sink (not owned; null detaches).
-     * One IntervalRecord is emitted per Lite interval (or per
-     * config().lite.intervalInstructions when Lite is disabled).
+     * One IntervalRecord is emitted per Lite interval (or every
+     * MmuConfig::lite.intervalInstructions when Lite is disabled).
      */
     void setTelemetry(obs::TelemetrySink *sink);
 
