@@ -1,5 +1,7 @@
 #include "sim/machine_flags.hh"
 
+#include <limits>
+
 #include "base/parse.hh"
 #include "vm/host_table.hh"
 
@@ -93,6 +95,8 @@ validateMachineFlags(const MachineFlags &flags, bool multicore)
         }
         if (streak.value() == 0)
             return Status::error("--l3-promote-streak: must be positive");
+        if (streak.value() > std::numeric_limits<unsigned>::max())
+            return Status::error("--l3-promote-streak: out of range");
         m.l3PromoteStreak = static_cast<unsigned>(streak.value());
     }
     if (!flags.coherence.empty()) {

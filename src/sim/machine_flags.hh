@@ -23,7 +23,8 @@
 namespace eat::sim
 {
 
-/** The machine flags as typed; an empty string means "not given". */
+/** The machine flags as typed. An empty string means "not given";
+ *  the streak is optional because an empty streak is a parse error. */
 struct MachineFlags
 {
     bool vm = false;     ///< --vm or --vm=MODE was given

@@ -449,8 +449,15 @@ TEST(MachineFlags, BuildsTheRequestedMachine)
     EXPECT_EQ(m.coherence, mc::McConfig::CoherenceMode::Hw);
 
     // The orphan rules are pinned through both tools by test_cli.cc;
-    // an empty streak is a parse error, not an absent flag.
+    // an empty streak is a parse error, not an absent flag, and a
+    // streak that does not fit the config's field is rejected.
     EXPECT_FALSE(machineFrom({"--l3-promote-streak="}, false).ok());
+    const auto huge =
+        machineFrom({"--l3=cache", "--l3-policy=promote",
+                     "--l3-promote-streak=4294967296"},
+                    false);
+    ASSERT_FALSE(huge.ok());
+    EXPECT_EQ(huge.status().message(), "--l3-promote-streak: out of range");
 }
 
 } // namespace
