@@ -438,9 +438,11 @@ TEST_F(MmuTest, EnergyMetricNamesPerMachine)
             "energy.dynamic_pj",      "energy.leakage_mw",
             "energy.static_gated_pj", "energy.static_full_pj",
             "energy.shootdown_pj",    "energy.coherence_pj"};
-        for (const auto &token : m.meters)
-            for (const char *field : {"reads", "writes", "read_pj", "write_pj"})
+        for (const auto &token : m.meters) {
+            for (const char *field :
+                 {"reads", "writes", "read_pj", "write_pj"})
                 expected.push_back("energy." + token + "." + field);
+        }
         std::sort(expected.begin(), expected.end());
 
         std::vector<std::string> actual;
