@@ -11,6 +11,7 @@
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "campaign/engine.hh"
+#include "l3/l3_config.hh"
 #include "mc/mix.hh"
 #include "stats/counter.hh"
 #include "vm/host_table.hh"

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "base/status.hh"
-#include "l3/l3_config.hh"
 #include "mc/mc_simulator.hh"
 #include "sim/machine_flags.hh"
 #include "sim/simulator.hh"

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "base/parse.hh"
-#include "l3/l3_config.hh"
 #include "mc/mc_simulator.hh"
 #include "mc/mix.hh"
 #include "sim/machine_flags.hh"
