@@ -1060,13 +1060,13 @@ Mmu::auditWayMasks()
 MilliWatts
 Mmu::leakagePower(bool gated) const
 {
-    // Leak order: the order each structure's term entered this sum.
-    // It exists only to keep the IEEE sum, and so every digest's
-    // leakage field, bit-identical. The walk meters have no leakage;
-    // the host PWC is metered but has never been part of this sum. L3
-    // tier leakage is constant while configured (reserved-share model
-    // for the cache substrate, SRAM tag cache for DRAM), so the leakage
-    // memo's key needs no new inputs.
+    // Leak order, not enum order: it exists only to keep the IEEE sum,
+    // and so every digest's leakage field, bit-identical. The walk
+    // meters have no leakage; the host PWC is metered but left out so
+    // that --vm digests keep their leakage field. L3 tier leakage is
+    // constant while configured (reserved-share model for the cache
+    // substrate, SRAM tag cache for DRAM), so the leakage memo's key
+    // needs no new inputs.
     static constexpr std::array kLeakOrder{
         ProvStruct::L1Tlb4K, ProvStruct::L2Tlb,   ProvStruct::PwcPde,
         ProvStruct::PwcPdpte, ProvStruct::PwcPml4, ProvStruct::L1Tlb2M,
